@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # One-command verification: plain tier-1 build + full test suite + the
 # registry-driven golden-diff harness, then the same golden harness (plus the
-# focused concurrency suites) under ThreadSanitizer. This is the flow CI runs;
-# a clean exit here means the tree is shippable.
+# focused concurrency suites) under ThreadSanitizer, and the whole suite
+# under AddressSanitizer (leak check included) and UndefinedBehaviorSanitizer.
+# This is the flow CI runs; a clean exit here means the tree is shippable.
 #
-#   scripts/check.sh          # everything (plain + tsan)
-#   scripts/check.sh --fast   # plain build + tests only, skip the tsan pass
+#   scripts/check.sh          # everything (plain + tsan + asan + ubsan)
+#   scripts/check.sh --fast   # plain build + tests only, skip the sanitizers
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,7 +18,7 @@ fi
 
 echo "== tier-1: configure + build =="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 
 echo "== tier-1: full test suite =="
 ctest --test-dir build --output-on-failure -j "$(nproc)"
@@ -50,18 +51,32 @@ for threads in 1 4; do
 done
 
 if [[ "$FAST" == "1" ]]; then
-  echo "check.sh: OK (fast mode, tsan pass skipped)"
+  echo "check.sh: OK (fast mode, sanitizer passes skipped)"
   exit 0
 fi
 
 echo "== tsan: configure + build (ADAMINE_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DADAMINE_SANITIZE=thread
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$(nproc)"
 
 echo "== tsan: golden-diff harness =="
 ctest --test-dir build-tsan -L golden --output-on-failure
 
 echo "== tsan: concurrency suites (ctest -L tsan) =="
 ctest --test-dir build-tsan -L tsan --output-on-failure
+
+# Memory and UB checks over the whole suite: an overread at a GEMM panel
+# tail or in the CRC's 8-byte loads, a leak, or undefined behaviour fails
+# here. Usage: run_sanitized <ADAMINE_SANITIZE value> <build dir>.
+run_sanitized() {
+  echo "== $1: configure + build (ADAMINE_SANITIZE=$1) =="
+  cmake -B "$2" -S . -DADAMINE_SANITIZE="$1"
+  cmake --build "$2" -j "$(nproc)"
+
+  echo "== $1: full test suite =="
+  ctest --test-dir "$2" --output-on-failure -j "$(nproc)"
+}
+run_sanitized address build-asan
+run_sanitized undefined build-ubsan
 
 echo "check.sh: OK"

@@ -9,18 +9,33 @@ namespace adamine::kernel {
 /// transpose: op(A) is [m, k], op(B) is [k, n], C is [m, n] with leading
 /// dimension n. C is written entirely (no accumulate into prior contents).
 ///
-/// Implementation: op(B) is packed once into zero-padded column panels of
-/// width kNr (a transpose when trans_b, a reshuffle otherwise), then the
-/// output is processed in register tiles of kMr x kNr rows x columns with
-/// the k loop innermost and ascending. Each output element is produced by a
-/// single accumulation chain in ascending k order — exactly the naive
-/// triple-loop's order — so the tiling changes performance, not bits. Both
-/// the packing and the row loop are ParallelFor'ed over fixed chunks, and
-/// every chunk writes a disjoint region, so results are also bit-identical
-/// for every thread count.
+/// Implementation: one operand is packed into zero-padded column panels of
+/// width kNr, the other streams through register tiles of kMr x kNr with
+/// the k loop innermost and ascending. Normally op(B) is packed. For
+/// trans_b && !trans_a (queries x corpus^T, every serving call) the kernel
+/// computes C^T = B * A^T instead: it packs the rows of A, streams B's rows
+/// in place and stores the tiles transposed. Each output element is
+/// produced by a single accumulation chain in ascending k order, with the
+/// multiply and the add rounded separately — exactly the naive triple
+/// loop's order — so neither the tiling nor the orientation changes bits
+/// (IEEE multiplication commutes). The micro-kernel is AVX2 when the CPU
+/// has it (see CpuHasAvx2), portable code otherwise, chosen once per
+/// process. Both the packing and the row loop are ParallelFor'ed over fixed
+/// chunks, and every chunk writes a disjoint region, so results are also
+/// bit-identical for every thread count.
 void Gemm(const float* a, int64_t lda, bool trans_a, const float* b,
           int64_t ldb, bool trans_b, int64_t m, int64_t n, int64_t k,
           float* c);
+
+namespace internal {
+
+/// Gemm with the portable micro-kernel whatever the CPU, so tests can diff
+/// it against the reference on an AVX2 host. Not for production callers.
+void GemmPortable(const float* a, int64_t lda, bool trans_a, const float* b,
+                  int64_t ldb, bool trans_b, int64_t m, int64_t n, int64_t k,
+                  float* c);
+
+}  // namespace internal
 
 }  // namespace adamine::kernel
 

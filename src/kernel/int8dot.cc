@@ -63,12 +63,6 @@ __attribute__((target("avx2"))) int32_t Int8DotAvx2(const int8_t* a,
   return total;
 }
 
-bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
-
-#else
-
-bool CpuHasAvx2() { return false; }
-
 #endif  // __x86_64__
 
 const bool kUseAvx2 = CpuHasAvx2();

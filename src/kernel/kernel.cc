@@ -64,6 +64,14 @@ int NumThreads() {
   return GetPool().num_threads();
 }
 
+bool CpuHasAvx2() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
 namespace internal {
 
 void RunChunks(int64_t num_chunks, const std::function<void(int64_t)>& body) {

@@ -31,6 +31,11 @@ void SetNumThreads(int num_threads);
 /// The current pool width (resolving the env/hardware default on first use).
 int NumThreads();
 
+/// True when the CPU executes AVX2 (always false off x86-64). The kernels
+/// with an AVX2 path (Gemm, Int8Dot) read it once at start-up and dispatch
+/// on it; the binary itself targets baseline x86-64.
+bool CpuHasAvx2();
+
 /// Number of fixed-size chunks `ParallelFor` splits [0, n) into. Depends
 /// only on n and grain — never on the thread count.
 inline int64_t NumChunks(int64_t n, int64_t grain) {

@@ -67,9 +67,11 @@ std::string EncodeQueryRequest(const QueryRequest& request) {
   writer.WriteF64(request.deadline_ms);
   writer.WriteI64(request.queries.rows());
   writer.WriteI64(request.queries.cols());
-  writer.WriteBytes(request.queries.data(),
-                    static_cast<size_t>(request.queries.numel()) *
-                        sizeof(float));
+  // The frame trailer is the only checksum a frame carries, so the bulk of
+  // the payload skips the Writer's running CRC (the same bytes either way).
+  writer.WriteRaw(request.queries.data(),
+                  static_cast<size_t>(request.queries.numel()) *
+                      sizeof(float));
   return WrapFrame(MessageType::kQueryRequest, os.str());
 }
 
@@ -152,7 +154,8 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
         std::to_string(floats) + " payload floats");
   }
   request.queries = Tensor({*rows, *cols});
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
+  // FrameAssembler already checked the trailer CRC; skip the running one.
+  ADAMINE_RETURN_IF_ERROR(reader.ReadRaw(
       request.queries.data(), static_cast<size_t>(floats) * sizeof(float)));
   return request;
 }

@@ -148,42 +148,42 @@ class QuantizedBackend final : public ScoringBackend {
         qmax = std::max(qmax, std::fabs(v));
       }
 
-      bool all_candidates = !std::isfinite(sum_abs_q);
-      if (!all_candidates) {
-        // Symmetric query quantization: q[j] ~= qs * qc[j].
-        const double qs = qmax / 127.0;
-        double fq_err = 0.0;
-        for (int64_t j = 0; j < d; ++j) {
-          int32_t c = 0;
-          if (qs > 0.0) {
-            const double rounded = std::nearbyint(q[j] / qs);
-            c = static_cast<int32_t>(
-                std::max(-127.0, std::min(127.0, rounded)));
-          }
-          qcodes[static_cast<size_t>(j)] = static_cast<int8_t>(c);
-          fq_err = std::max(fq_err, std::fabs(q[j] - qs * c));
+      // ScoringBackend::ScoreTopK rejects non-finite queries, so only a
+      // bound that overflows double sends every row to the rerank.
+      bool all_candidates = false;
+      // Symmetric query quantization: q[j] ~= qs * qc[j].
+      const double qs = qmax / 127.0;
+      double fq_err = 0.0;
+      for (int64_t j = 0; j < d; ++j) {
+        int32_t c = 0;
+        if (qs > 0.0) {
+          const double rounded = std::nearbyint(q[j] / qs);
+          c = static_cast<int32_t>(
+              std::max(-127.0, std::min(127.0, rounded)));
         }
+        qcodes[static_cast<size_t>(j)] = static_cast<int8_t>(c);
+        fq_err = std::max(fq_err, std::fabs(q[j] - qs * c));
+      }
 
-        kernel::Int8ScanRows(corpus_.codes.data(), n, d, qcodes.data(),
-                             dots.data());
+      kernel::Int8ScanRows(corpus_.codes.data(), n, d, qcodes.data(),
+                           dots.data());
 
-        for (int64_t r = 0; r < n; ++r) {
-          const size_t s = static_cast<size_t>(r);
-          const double scale = corpus_.scales[s];
-          const double approx = qs * scale * dots[s] +
-                                static_cast<double>(corpus_.biases[s]) *
-                                    sum_q;
-          double err = scale * fq_err * corpus_.sum_abs_codes[s] +
-                       sum_abs_q * corpus_.recon_errors[s] +
-                       chain_gamma_ * corpus_.max_abs[s] * sum_abs_q +
-                       chain_abs_;
-          err = err * (1.0 + kBoundMargin) + kBoundMargin * std::fabs(approx);
-          lower[s] = approx - err;
-          upper[s] = approx + err;
-          if (!std::isfinite(lower[s]) || !std::isfinite(upper[s])) {
-            all_candidates = true;
-            break;
-          }
+      for (int64_t r = 0; r < n; ++r) {
+        const size_t s = static_cast<size_t>(r);
+        const double scale = corpus_.scales[s];
+        const double approx = qs * scale * dots[s] +
+                              static_cast<double>(corpus_.biases[s]) *
+                                  sum_q;
+        double err = scale * fq_err * corpus_.sum_abs_codes[s] +
+                     sum_abs_q * corpus_.recon_errors[s] +
+                     chain_gamma_ * corpus_.max_abs[s] * sum_abs_q +
+                     chain_abs_;
+        err = err * (1.0 + kBoundMargin) + kBoundMargin * std::fabs(approx);
+        lower[s] = approx - err;
+        upper[s] = approx + err;
+        if (!std::isfinite(lower[s]) || !std::isfinite(upper[s])) {
+          all_candidates = true;
+          break;
         }
       }
 

@@ -8,6 +8,7 @@
 #include "serve/backend.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -364,6 +365,16 @@ StatusOr<TopKResult> ScoringBackend::ScoreTopK(const QueryBatch& batch,
     return Status::InvalidArgument(
         "query dim " + std::to_string(batch.queries.cols()) +
         " does not match corpus dim " + std::to_string(dim()));
+  }
+  // A non-finite query value makes NaN or infinite scores, and NaN breaks
+  // the strict weak ordering every ranking relies on: there is no answer.
+  const float* values = batch.queries.data();
+  for (int64_t i = 0; i < batch.queries.numel(); ++i) {
+    if (!std::isfinite(values[i])) {
+      return Status::InvalidArgument(
+          "query row " + std::to_string(i / dim()) +
+          " has a non-finite value at column " + std::to_string(i % dim()));
+    }
   }
   return ScoreTopKImpl(batch, filter, k, options);
 }

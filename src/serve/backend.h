@@ -135,10 +135,11 @@ class ScoringBackend {
  public:
   virtual ~ScoringBackend() = default;
 
-  /// The single entry point. Validates the request (k > 0, query shape),
-  /// answers the empty batch with zero rows, rejects a non-null filter
-  /// with kUnimplemented until a backend supports predicate pushdown, and
-  /// delegates the rest to ScoreTopKImpl.
+  /// The single entry point. Validates the request (k > 0, query shape,
+  /// finite query values; a violation is kInvalidArgument naming the row
+  /// and column), answers the empty batch with zero rows, rejects a
+  /// non-null filter with kUnimplemented until a backend supports predicate
+  /// pushdown, and delegates the rest to ScoreTopKImpl.
   StatusOr<TopKResult> ScoreTopK(const QueryBatch& batch,
                                  const Filter* filter, int64_t k,
                                  const QueryOptions& options);

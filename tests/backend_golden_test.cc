@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -450,6 +451,23 @@ TEST_P(BackendGoldenTest, InvalidRequestsAreDescriptiveStatuses) {
                                     serve::QueryOptions());
   ASSERT_FALSE(bad_dim.ok());
   EXPECT_EQ(bad_dim.status().code(), StatusCode::kInvalidArgument);
+  // Query values must be finite: NaN breaks the ranking's ordering and an
+  // infinity turns scores into inf or NaN. The status names the cell.
+  ASSERT_GE(queries.rows(), 2);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    Tensor poisoned = queries.Clone();
+    poisoned.At(1, 3) = bad;
+    auto rejected = backend->ScoreTopK(serve::QueryBatch{poisoned}, nullptr,
+                                       5, serve::QueryOptions());
+    ASSERT_FALSE(rejected.ok()) << "value " << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("row 1"), std::string::npos)
+        << rejected.status().ToString();
+    EXPECT_NE(rejected.status().message().find("column 3"), std::string::npos)
+        << rejected.status().ToString();
+  }
 }
 
 TEST_P(BackendGoldenTest, FilterIsRejectedAsUnimplemented) {

@@ -8,12 +8,61 @@
 #include <sstream>
 
 #include "io/checkpoint.h"
+#include "io/wire.h"
 #include "tensor/ops.h"
 #include "util/fault.h"
 #include "util/rng.h"
 
 namespace adamine::io {
 namespace {
+
+// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the definition the
+// table-driven io::wire::Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  // The standard CRC-32 check value (zlib, PNG, Ethernet).
+  wire::Crc32 crc;
+  crc.Update("123456789", 9);
+  EXPECT_EQ(crc.value(), 0xCBF43926u);
+  EXPECT_EQ(wire::Crc32().value(), 0u);  // Empty input.
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-64 cover the 8-byte body with every tail length; the start
+  // offsets put the 8-byte loads at every alignment. Every split point of
+  // an incremental update must give the same value as one call.
+  std::vector<unsigned char> buffer(64 + 8);
+  Rng rng(41);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.UniformInt(256));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const unsigned char* data = buffer.data() + offset;
+      const uint32_t expect = BitwiseCrc32(data, len);
+      wire::Crc32 whole;
+      whole.Update(data, len);
+      ASSERT_EQ(whole.value(), expect) << "offset " << offset << " len " << len;
+      for (size_t split = 0; split <= len; ++split) {
+        wire::Crc32 parts;
+        parts.Update(data, split);
+        parts.Update(data + split, len - split);
+        ASSERT_EQ(parts.value(), expect)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
 
 TEST(TensorSerializeTest, RoundTrips) {
   Rng rng(1);

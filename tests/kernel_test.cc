@@ -181,33 +181,65 @@ Tensor NaiveGemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   return c;
 }
 
+// kernel::internal::GemmPortable as a Tensor op, for diffing the portable
+// micro-kernel on hosts where Gemm dispatches to AVX2.
+Tensor GemmPortable(const Tensor& a, bool trans_a, const Tensor& b,
+                    bool trans_b, int64_t m, int64_t n, int64_t k) {
+  Tensor c({m, n});
+  kernel::internal::GemmPortable(a.data(), a.cols(), trans_a, b.data(),
+                                 b.cols(), trans_b, m, n, k, c.data());
+  return c;
+}
+
 TEST(GemmTest, AllTransposeVariantsMatchNaiveBitsAtEveryWidth) {
-  // Odd sizes exercise the partial register tiles and the zero-padded panel
-  // tails of the packed kernel.
-  const int64_t m = 33, n = 29, k = 47;
+  // Both micro-kernels (Gemm dispatches to AVX2 on a CPU that has it;
+  // GemmPortable never does) against the reference. The sizes straddle the
+  // 4-row tile, the 16-column panel and the 32-row chunk, so every partial
+  // tile, zero-padded panel tail and transposed store is hit; n = 101 splits
+  // the corpus-row loop of queries x corpus^T into three full chunks and a
+  // ragged one. k = 1 is the shortest chain and 128 the serving width.
+  SCOPED_TRACE(kernel::CpuHasAvx2() ? "Gemm runs the AVX2 micro-kernel"
+                                    : "no AVX2: both run the portable one");
+  const int64_t ms[] = {1, 3, 4, 5, 16, 17, 33};
+  const int64_t ns[] = {1, 15, 16, 17, 29, 101};
+  const int64_t ks[] = {1, 47, 128};
   Rng rng(3);
-  Tensor a = Tensor::Randn({m, k}, rng);
-  Tensor at = Transpose2D(a);
-  Tensor b = Tensor::Randn({k, n}, rng);
-  Tensor bt = Transpose2D(b);
-  struct Variant {
-    const Tensor* a;
-    bool trans_a;
-    const Tensor* b;
-    bool trans_b;
-  };
-  const Variant variants[] = {{&a, false, &b, false},
-                              {&a, false, &bt, true},
-                              {&at, true, &b, false},
-                              {&at, true, &bt, true}};
-  for (const Variant& v : variants) {
-    const Tensor reference = NaiveGemm(*v.a, v.trans_a, *v.b, v.trans_b, m, n, k);
-    for (int width : kWidths) {
-      ThreadGuard guard(width);
-      const Tensor got = Gemm(*v.a, v.trans_a, *v.b, v.trans_b);
-      ASSERT_TRUE(SameBits(got, reference))
-          << "trans_a=" << v.trans_a
-          << " trans_b=" << v.trans_b << " width=" << width;
+  for (int64_t m : ms) {
+    for (int64_t n : ns) {
+      for (int64_t k : ks) {
+        Tensor a = Tensor::Randn({m, k}, rng);
+        Tensor at = Transpose2D(a);
+        Tensor b = Tensor::Randn({k, n}, rng);
+        Tensor bt = Transpose2D(b);
+        struct Variant {
+          const Tensor* a;
+          bool trans_a;
+          const Tensor* b;
+          bool trans_b;
+        };
+        const Variant variants[] = {{&a, false, &b, false},
+                                    {&a, false, &bt, true},
+                                    {&at, true, &b, false},
+                                    {&at, true, &bt, true}};
+        for (const Variant& v : variants) {
+          const Tensor reference =
+              NaiveGemm(*v.a, v.trans_a, *v.b, v.trans_b, m, n, k);
+          for (int width : kWidths) {
+            ThreadGuard guard(width);
+            ASSERT_TRUE(
+                SameBits(Gemm(*v.a, v.trans_a, *v.b, v.trans_b), reference))
+                << "dispatched m=" << m << " n=" << n << " k=" << k
+                << " trans_a=" << v.trans_a << " trans_b=" << v.trans_b
+                << " width=" << width;
+            ASSERT_TRUE(SameBits(
+                GemmPortable(*v.a, v.trans_a, *v.b, v.trans_b, m, n, k),
+                reference))
+                << "portable m=" << m << " n=" << n << " k=" << k
+                << " trans_a=" << v.trans_a << " trans_b=" << v.trans_b
+                << " width=" << width;
+          }
+        }
+      }
     }
   }
 }

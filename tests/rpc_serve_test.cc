@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -254,6 +255,38 @@ TEST_F(RpcServeTest, ServerAnswersUndecodablePayloadThenCloses) {
   ASSERT_TRUE(eof.ok()) << eof.status().ToString();
   EXPECT_EQ(*eof, 0u);  // The connection closes after the error flushes.
   EXPECT_GE(server->server.Snapshot().frames_rejected, 1);
+}
+
+TEST_F(RpcServeTest, NonFiniteQueryIsRejectedAndTheConnectionKeepsServing) {
+  // A NaN query is a well-framed request with no answer: the server replies
+  // kInvalidArgument naming the cell (the shared ScoringBackend check), and
+  // the same pooled connection then serves the next request exactly.
+  Tensor items = ClusteredUnitRows(4, 10, 8, 11);
+  Tensor queries = ClusteredUnitRows(4, 1, 8, 13);
+  const int64_t k = 5;
+  auto server = StartServer(items);
+  net::ShardChannel channel("127.0.0.1", server->port());
+
+  Tensor poisoned = queries.Clone();
+  poisoned.At(2, 6) = std::numeric_limits<float>::quiet_NaN();
+  auto rejected = channel.Query(poisoned, k, After(2000));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("row 2"), std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find("column 6"), std::string::npos)
+      << rejected.status().ToString();
+
+  auto served = channel.Query(queries, k, After(2000));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(*served, UnshardedScored(items, queries, k));
+  const net::ShardChannelStats channel_stats = channel.Snapshot();
+  EXPECT_EQ(channel_stats.dials, 1);
+  EXPECT_EQ(channel_stats.pool_hits, 1);
+  const net::ShardServerStats server_stats = server->server.Snapshot();
+  EXPECT_EQ(server_stats.requests_failed, 1);
+  EXPECT_EQ(server_stats.requests_ok, 1);
+  EXPECT_EQ(server_stats.frames_rejected, 0);
 }
 
 TEST_F(RpcServeTest, CorruptedResponseFrameIsTornNotGarbage) {
