@@ -1,18 +1,20 @@
-// Microbenchmarks of the substrate kernels (google-benchmark): GEMM, LSTM
-// encoding, the batch triplet losses, retrieval ranking, and word2vec.
+// Microbenchmarks of the substrate kernels (google-benchmark): GEMM, the
+// int8 scan, LSTM encoding, the batch triplet losses, retrieval ranking,
+// and word2vec.
 // These are the building blocks whose cost dominates training and
 // evaluation; sizes mirror the defaults used by the table benches.
 //
-// GEMM, cosine-similarity and ranking carry a second argument — the kernel
-// thread-pool width — so `BM_Gemm/256/4` reads "n=256, 4 threads". Thread
-// count never changes the bits of the result (see DESIGN.md, "Kernel
-// execution layer"), only the wall clock, so the sweep is a pure scaling
-// measurement.
+// GEMM, the int8 scan, cosine-similarity and ranking carry a second
+// argument — the kernel thread-pool width — so `BM_Gemm/256/4` reads
+// "n=256, 4 threads". Thread count never changes the bits of the result
+// (see DESIGN.md, "Kernel execution layer"), only the wall clock, so the
+// sweep is a pure scaling measurement.
 
 #include <benchmark/benchmark.h>
 
 #include "core/losses.h"
 #include "eval/metrics.h"
+#include "kernel/int8dot.h"
 #include "kernel/kernel.h"
 #include "nn/embedding.h"
 #include "nn/lstm.h"
@@ -59,6 +61,30 @@ void BM_GemmTransB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmTransB)->ArgsProduct({{64, 128}, {1, 4}});
+
+/// The quantized backend's scan at the bulk-quantized shape: 10,000 rows of
+/// 128 int8 codes (1.25 MiB) against 1 or 4 queries in one pass. Bytes/s
+/// counts code bytes scored, each byte once per query, so the two query
+/// counts read on one scale.
+void BM_Int8Scan(benchmark::State& state) {
+  const int64_t rows = 10000;
+  const int64_t dim = 128;
+  const int queries = static_cast<int>(state.range(0));
+  ThreadGuard guard(static_cast<int>(state.range(1)));
+  Rng rng(10);
+  std::vector<int8_t> codes(static_cast<size_t>(rows * dim));
+  std::vector<int8_t> query(static_cast<size_t>(queries * dim));
+  for (auto& c : codes) c = static_cast<int8_t>(rng.UniformInt(255) - 127);
+  for (auto& c : query) c = static_cast<int8_t>(rng.UniformInt(255) - 127);
+  std::vector<int32_t> dots(static_cast<size_t>(queries * rows));
+  for (auto _ : state) {
+    kernel::Int8ScanRows(codes.data(), rows, dim, query.data(), queries,
+                         dots.data());
+    benchmark::DoNotOptimize(dots.data());
+  }
+  state.SetBytesProcessed(state.iterations() * queries * rows * dim);
+}
+BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}});
 
 void BM_CosineSimilarityMatrix(benchmark::State& state) {
   const int64_t n = state.range(0);

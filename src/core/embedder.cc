@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "kernel/reduce.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -89,15 +90,11 @@ std::vector<int64_t> RetrievalIndex::Query(const Tensor& query,
   const int64_t n = items_.rows();
   const int64_t d = items_.cols();
   std::vector<float> sims(static_cast<size_t>(n));
-  // Single float accumulation chain in ascending j — the per-element order
-  // of kernel::Gemm — so this scalar reference path stays bit-identical to
-  // the serving layer's batched GEMM scoring (this file is compiled with
-  // -ffp-contract=off; see src/CMakeLists.txt).
+  // The reference dot, so this scalar path stays bit-identical to the
+  // serving layer's batched GEMM scoring.
   for (int64_t i = 0; i < n; ++i) {
-    const float* row = items_.data() + i * d;
-    float acc = 0.0f;
-    for (int64_t j = 0; j < d; ++j) acc += row[j] * query[j];
-    sims[static_cast<size_t>(i)] = acc;
+    sims[static_cast<size_t>(i)] =
+        kernel::DotAscending(items_.data() + i * d, query.data(), d);
   }
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);

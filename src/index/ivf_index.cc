@@ -7,6 +7,7 @@
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
+#include "kernel/reduce.h"
 #include "linalg/kmeans.h"
 #include "tensor/ops.h"
 #include "util/check.h"
@@ -14,17 +15,6 @@
 namespace adamine::index {
 
 namespace {
-
-/// Inner product as a single float accumulation chain in ascending j —
-/// exactly the per-element order of kernel::Gemm — so the scalar search
-/// path and the batched GEMM path produce bit-identical similarities.
-/// (This file is compiled with -ffp-contract=off, like the kernels, so the
-/// compiler cannot fuse the chain into FMAs; see src/CMakeLists.txt.)
-float DotAscending(const float* a, const float* b, int64_t d) {
-  float acc = 0.0f;
-  for (int64_t j = 0; j < d; ++j) acc += a[j] * b[j];
-  return acc;
-}
 
 /// Shared (similarity desc, index asc) candidate order.
 bool CandidateBefore(const std::pair<float, int64_t>& a,
@@ -97,7 +87,7 @@ std::vector<int64_t> IvfIndex::Search(const Tensor& query, int64_t k,
   centroid_sims.reserve(static_cast<size_t>(lists));
   for (int64_t c = 0; c < lists; ++c) {
     centroid_sims.emplace_back(
-        DotAscending(centroids_.data() + c * d, query.data(), d), c);
+        kernel::DotAscending(centroids_.data() + c * d, query.data(), d), c);
   }
   const int64_t probe = std::min(probes, lists);
   std::partial_sort(centroid_sims.begin(), centroid_sims.begin() + probe,
@@ -110,7 +100,8 @@ std::vector<int64_t> IvfIndex::Search(const Tensor& query, int64_t k,
          lists_[static_cast<size_t>(centroid_sims[static_cast<size_t>(p)]
                                         .second)]) {
       candidates.emplace_back(
-          DotAscending(items_.data() + item * d, query.data(), d), item);
+          kernel::DotAscending(items_.data() + item * d, query.data(), d),
+          item);
     }
   }
   const int64_t take =

@@ -32,8 +32,8 @@ void SetNumThreads(int num_threads);
 int NumThreads();
 
 /// True when the CPU executes AVX2 (always false off x86-64). The kernels
-/// with an AVX2 path (Gemm, Int8Dot) read it once at start-up and dispatch
-/// on it; the binary itself targets baseline x86-64.
+/// with an AVX2 path (Gemm, Int8ScanRows) read it once at start-up and
+/// dispatch on it; the binary itself targets baseline x86-64.
 bool CpuHasAvx2();
 
 /// Number of fixed-size chunks `ParallelFor` splits [0, n) into. Depends

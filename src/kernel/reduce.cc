@@ -1,6 +1,8 @@
-// Pairwise reductions. Compiled with -O3 (see src/CMakeLists.txt); the base
-// cases accumulate in double, so there is no float-rounding sensitivity to
-// vectorisation width.
+// Pairwise reductions and the reference dot. Compiled with -O3 and
+// -ffp-contract=off (see src/CMakeLists.txt): the pairwise base cases
+// accumulate in double, so there is no float-rounding sensitivity to
+// vectorisation width, and DotAscending's float chain can be neither
+// reassociated nor fused into FMAs.
 
 #include "kernel/reduce.h"
 
@@ -44,6 +46,12 @@ double PairwiseDot(const float* a, const float* b, int64_t n) {
   }
   const int64_t half = n / 2;
   return PairwiseDot(a, b, half) + PairwiseDot(a + half, b + half, n - half);
+}
+
+float DotAscending(const float* a, const float* b, int64_t n) {
+  float acc = 0.0f;
+  for (int64_t j = 0; j < n; ++j) acc += a[j] * b[j];
+  return acc;
 }
 
 double ParallelPairwiseSum(const float* p, int64_t n) {

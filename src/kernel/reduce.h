@@ -19,6 +19,15 @@ double PairwiseSumSquares(const float* p, int64_t n);
 /// Pairwise summation of a[i] * b[i].
 double PairwiseDot(const float* a, const float* b, int64_t n);
 
+/// Inner product as a single float accumulation chain in ascending j, the
+/// multiply and the add rounded separately — the per-element order of
+/// kernel::Gemm. This is *the* reference similarity: the scalar backend,
+/// every exact rerank, IVF's scalar search and core::RetrievalIndex call
+/// it, and every exact backend must produce scores with these bits. It is
+/// defined in reduce.cc, which is compiled with -ffp-contract=off, so
+/// callers get the un-fused chain whatever their own compile flags.
+float DotAscending(const float* a, const float* b, int64_t n);
+
 /// Chunk width used when a whole-tensor reduction is split across the pool;
 /// each chunk is itself reduced pairwise, and the per-chunk partials are
 /// folded in ascending chunk order.

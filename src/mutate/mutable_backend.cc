@@ -10,6 +10,7 @@
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
+#include "kernel/reduce.h"
 #include "util/stopwatch.h"
 
 namespace adamine::mutate {
@@ -108,7 +109,7 @@ StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
         const int64_t id = chunk.ids[static_cast<size_t>(slot)];
         if (snap->deleted(id)) continue;
         candidates.emplace_back(
-            serve::DotAscending(chunk.data.data() + slot * d, query, d), id);
+            kernel::DotAscending(chunk.data.data() + slot * d, query, d), id);
       }
       const int64_t take =
           std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));

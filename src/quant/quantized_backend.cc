@@ -1,11 +1,11 @@
 // The two-stage quantized scoring backend.
 //
-// Stage 1 scans the int8 codes (kernel::Int8ScanRows, AVX2-dispatched) and
-// turns each integer dot into a *score interval* [approx - E, approx + E]
-// that provably contains the reference float-chain score. Stage 2 gathers
-// every row whose interval upper bound reaches the k-th best lower bound
-// (floored at rerank_factor * k rows) and reranks just those with the exact
-// reference dot (serve::DotAscending, compiled in backend.cc under
+// Stage 1 scans the int8 codes (kernel::Int8ScanRows, one pass per block of
+// up to four queries) and turns each integer dot into a *score interval*
+// [approx - E, approx + E] that provably contains the reference float-chain
+// score. Stage 2 gathers every row whose interval upper bound reaches the
+// k-th best lower bound (floored at rerank_factor * k rows) and reranks just
+// those with the exact reference dot (kernel::DotAscending, compiled under
 // -ffp-contract=off). Because no excluded row can beat the k-th best lower
 // bound, the final top-k is bit-identical to the exhaustive path — this
 // backend reports exact() == true and passes the golden-diff matrix.
@@ -23,6 +23,13 @@
 // ingredient is computed in double and the total is inflated by a relative
 // margin dwarfing double rounding, so the interval is conservative, never
 // optimistic.
+//
+// Selection streams: rows arrive in blocks, and a row enters the two
+// bounded heaps (k-th best lower bound, m-th best upper bound) only if its
+// upper bound reaches the running cutoff min(kth_lower, mth_upper). The
+// cutoff only rises and lower <= upper, so a row below it could not have
+// changed either heap: the heaps, the final cutoff and the candidate set
+// are exactly those of a full pass over every row's bounds.
 
 #include "quant/quantized_backend.h"
 
@@ -30,11 +37,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
+#include "kernel/reduce.h"
 #include "quant/int8_corpus.h"
 #include "util/stopwatch.h"
 
@@ -54,6 +63,13 @@ using serve::TopKResult;
 /// double rounding it needs to cover, and still invisible next to the int8
 /// quantization error it rides on.
 constexpr double kBoundMargin = 1e-9;
+
+/// Widest query block: the most queries one kernel call scores.
+constexpr int64_t kQueryBlock = kernel::kInt8ScanMaxQueries;
+
+/// Rows per streaming step: the block's dots (4 KB for four queries) and
+/// one query's bounds (4 KB) stay in L1 between the scan and the selection.
+constexpr int64_t kRowBlock = 256;
 
 /// k-th largest value of a stream via a size-k min-heap: the common case is
 /// a single compare against the heap root per element, so a 40k-row corpus
@@ -79,12 +95,108 @@ class KthLargest {
     }
   }
 
-  /// The k-th largest seen so far; requires at least k pushes.
+  /// True once k values were pushed; from then on Push(v) with v <= Value()
+  /// leaves the heap unchanged.
+  bool full() const { return heap_.size() == k_; }
+
+  /// The k-th largest seen so far; requires full().
   double Value() const { return heap_.front(); }
 
  private:
   size_t k_;
   std::vector<double> heap_;
+};
+
+/// One query's symmetric int8 quantization, q[j] ~= scale * code[j], with
+/// the statistics its score intervals need.
+struct QueryStats {
+  double sum_q = 0.0;
+  double sum_abs_q = 0.0;
+  double scale = 0.0;
+  double max_err = 0.0;  // max_j |q[j] - scale * code[j]|
+};
+
+/// Quantizes q[0, d) into codes[0, d). Double, ascending j: deterministic.
+QueryStats QuantizeQuery(const float* q, int64_t d, int8_t* codes) {
+  QueryStats s;
+  double qmax = 0.0;
+  for (int64_t j = 0; j < d; ++j) {
+    const double v = q[j];
+    s.sum_q += v;
+    s.sum_abs_q += std::fabs(v);
+    qmax = std::max(qmax, std::fabs(v));
+  }
+  s.scale = qmax / 127.0;
+  for (int64_t j = 0; j < d; ++j) {
+    int32_t c = 0;
+    if (s.scale > 0.0) {
+      const double rounded = std::nearbyint(q[j] / s.scale);
+      c = static_cast<int32_t>(std::max(-127.0, std::min(127.0, rounded)));
+    }
+    codes[j] = static_cast<int8_t>(c);
+    s.max_err = std::max(s.max_err, std::fabs(q[j] - s.scale * c));
+  }
+  return s;
+}
+
+/// One query's streaming candidate selection over rows in ascending order.
+/// The k-th best lower bound is the verified cutoff: at least `take` rows
+/// score >= it, so a row whose upper bound misses it is strictly out of the
+/// top-k. When m > take, the m-th best upper bound lowers the cutoff so
+/// that at least m rows are reranked.
+class CandidateStream {
+ public:
+  CandidateStream(int64_t take, int64_t m) : kth_lower_(take) {
+    if (m > take) mth_upper_.emplace(m);
+  }
+
+  /// Feeds rows [r0, r0 + rows) with their bounds. A row whose upper bound
+  /// misses the running cutoff is skipped: both heaps are full and hold
+  /// values >= the cutoff > upper >= lower, so pushing it would change
+  /// neither.
+  void Push(int64_t r0, const double* lower, const double* upper,
+            int64_t rows) {
+    for (int64_t i = 0;; ++i) {
+      // The skip loop makes no call and no store, so it stays in registers.
+      const double cutoff = cutoff_;
+      while (i < rows && upper[i] < cutoff) ++i;
+      if (i == rows) return;
+      Admit(r0 + i, lower[i], upper[i]);
+    }
+  }
+
+  /// Calls fn(row) for each candidate, ascending.
+  template <typename Fn>
+  void ForEachCandidate(const Fn& fn) const {
+    for (const Kept& k : kept_) {
+      if (!(k.upper < cutoff_)) fn(k.row);
+    }
+  }
+
+ private:
+  /// A row that reached the cutoff when it streamed past, with its upper
+  /// bound so the final cutoff can still drop it.
+  struct Kept {
+    int64_t row;
+    double upper;
+  };
+
+  void Admit(int64_t row, double lower, double upper) {
+    kth_lower_.Push(lower);
+    if (mth_upper_) mth_upper_->Push(upper);
+    kept_.push_back(Kept{row, upper});
+    if (!kth_lower_.full()) return;
+    if (!mth_upper_) {
+      cutoff_ = kth_lower_.Value();
+    } else if (mth_upper_->full()) {
+      cutoff_ = std::min(kth_lower_.Value(), mth_upper_->Value());
+    }
+  }
+
+  KthLargest kth_lower_;
+  std::optional<KthLargest> mth_upper_;
+  double cutoff_ = -std::numeric_limits<double>::infinity();
+  std::vector<Kept> kept_;
 };
 
 class QuantizedBackend final : public ScoringBackend {
@@ -119,119 +231,80 @@ class QuantizedBackend final : public ScoringBackend {
     const int64_t d = corpus_.dim;
     const int64_t n = corpus_.rows;
     const int64_t take = std::min(k, n);
+    // rerank_factor floors the candidate set at m rows (by upper bound),
+    // the conventional two-stage knob; it can only widen the verified set,
+    // never narrow it. The guard keeps the product from overflowing for
+    // absurd factors: anything past n means "rerank the whole corpus", as
+    // does k >= n.
+    const int64_t m = take >= n                 ? n
+                      : rerank_factor_ > n / take ? n
+                                                  : rerank_factor_ * take;
+    const bool every_row = m >= n;
     TopKResult out;
     out.hits.resize(static_cast<size_t>(b));
     Stopwatch watch;
 
-    // Queries are independent, so the batch spreads over the kernel pool
-    // with per-chunk scratch; each query writes only its own hits row, and
-    // its whole pipeline (scan runs inline when nested — see
-    // kernel::internal::RunChunks) is sequential within the chunk, so
-    // results are bit-identical at every thread count.
-    kernel::ParallelFor(b, 1, [&](int64_t qb, int64_t qe) {
-      std::vector<int8_t> qcodes(static_cast<size_t>(d));
-      std::vector<int32_t> dots(static_cast<size_t>(n));
-      std::vector<double> lower(static_cast<size_t>(n));
-      std::vector<double> upper(static_cast<size_t>(n));
-      std::vector<ScoredHit> cands;
-      for (int64_t i = qb; i < qe; ++i) {
-        const float* q = batch.queries.data() + i * d;
-
-      // Query statistics in double, ascending j (determinism: sequential).
-      double sum_q = 0.0;
-      double sum_abs_q = 0.0;
-      double qmax = 0.0;
-      for (int64_t j = 0; j < d; ++j) {
-        const double v = q[j];
-        sum_q += v;
-        sum_abs_q += std::fabs(v);
-        qmax = std::max(qmax, std::fabs(v));
-      }
-
-      // ScoringBackend::ScoreTopK rejects non-finite queries, so only a
-      // bound that overflows double sends every row to the rerank.
-      bool all_candidates = false;
-      // Symmetric query quantization: q[j] ~= qs * qc[j].
-      const double qs = qmax / 127.0;
-      double fq_err = 0.0;
-      for (int64_t j = 0; j < d; ++j) {
-        int32_t c = 0;
-        if (qs > 0.0) {
-          const double rounded = std::nearbyint(q[j] / qs);
-          c = static_cast<int32_t>(
-              std::max(-127.0, std::min(127.0, rounded)));
+    // Query blocks are independent, so the batch spreads over the kernel
+    // pool; each block writes only its own hits rows, and its scan calls
+    // (one row block each, inside one scan chunk) run sequentially within
+    // the block. Up to four queries share a scan of the codes, but a batch
+    // too small to hand every pool thread a full block uses narrower ones,
+    // so that 2-4 queries still run on 2-4 threads. The width changes no
+    // bits: the int8 dots are exact and each query's selection is its own,
+    // so results are bit-identical at every thread count.
+    const int64_t threads = kernel::NumThreads();
+    const int64_t width =
+        std::clamp((b + threads - 1) / threads, int64_t{1}, kQueryBlock);
+    kernel::ParallelFor(b, width, [&](int64_t qb, int64_t qe) {
+      const int nq = static_cast<int>(qe - qb);
+      std::vector<CandidateStream> streams;
+      if (!every_row) {
+        std::vector<int8_t> qcodes(static_cast<size_t>(nq * d));
+        QueryStats stats[kQueryBlock];
+        for (int i = 0; i < nq; ++i) {
+          stats[i] = QuantizeQuery(batch.queries.data() + (qb + i) * d, d,
+                                   qcodes.data() + i * d);
+          streams.emplace_back(take, m);
         }
-        qcodes[static_cast<size_t>(j)] = static_cast<int8_t>(c);
-        fq_err = std::max(fq_err, std::fabs(q[j] - qs * c));
-      }
-
-      kernel::Int8ScanRows(corpus_.codes.data(), n, d, qcodes.data(),
-                           dots.data());
-
-      for (int64_t r = 0; r < n; ++r) {
-        const size_t s = static_cast<size_t>(r);
-        const double scale = corpus_.scales[s];
-        const double approx = qs * scale * dots[s] +
-                              static_cast<double>(corpus_.biases[s]) *
-                                  sum_q;
-        double err = scale * fq_err * corpus_.sum_abs_codes[s] +
-                     sum_abs_q * corpus_.recon_errors[s] +
-                     chain_gamma_ * corpus_.max_abs[s] * sum_abs_q +
-                     chain_abs_;
-        err = err * (1.0 + kBoundMargin) + kBoundMargin * std::fabs(approx);
-        lower[s] = approx - err;
-        upper[s] = approx + err;
-        if (!std::isfinite(lower[s]) || !std::isfinite(upper[s])) {
-          all_candidates = true;
-          break;
-        }
-      }
-
-      double cutoff = -std::numeric_limits<double>::infinity();
-      if (!all_candidates && take < n) {
-        // k-th best lower bound: at least `take` rows score >= it, so any
-        // row whose upper bound misses it is strictly out of the top-k.
-        KthLargest kth_lower(take);
-        for (int64_t r = 0; r < n; ++r) {
-          kth_lower.Push(lower[static_cast<size_t>(r)]);
-        }
-        cutoff = kth_lower.Value();
-        // rerank_factor floors the candidate set at m rows (by upper
-        // bound), the conventional two-stage knob; it can only widen the
-        // verified set, never narrow it. The guard keeps the product from
-        // overflowing for absurd factors: anything past n means "rerank
-        // the whole corpus".
-        const int64_t m =
-            rerank_factor_ > n / take ? n : rerank_factor_ * take;
-        if (m >= n) {
-          cutoff = -std::numeric_limits<double>::infinity();
-        } else if (m > take) {
-          KthLargest mth_upper(m);
-          for (int64_t r = 0; r < n; ++r) {
-            mth_upper.Push(upper[static_cast<size_t>(r)]);
+        std::vector<int32_t> dots(static_cast<size_t>(nq * kRowBlock));
+        std::vector<double> lower(static_cast<size_t>(kRowBlock));
+        std::vector<double> upper(static_cast<size_t>(kRowBlock));
+        for (int64_t r0 = 0; r0 < n; r0 += kRowBlock) {
+          const int64_t rows = std::min(kRowBlock, n - r0);
+          kernel::Int8ScanRows(corpus_.codes.data() + r0 * d, rows, d,
+                               qcodes.data(), nq, dots.data());
+          for (int i = 0; i < nq; ++i) {
+            Bounds(stats[i], r0, rows, dots.data() + i * rows, lower.data(),
+                   upper.data());
+            streams[static_cast<size_t>(i)].Push(r0, lower.data(),
+                                                 upper.data(), rows);
           }
-          cutoff = std::min(cutoff, mth_upper.Value());
         }
       }
 
       // Gather + exact rerank: ascending row order, reference float chain.
-      cands.clear();
-      for (int64_t r = 0; r < n; ++r) {
-        if (!all_candidates && upper[static_cast<size_t>(r)] < cutoff) {
-          continue;
+      std::vector<ScoredHit> cands;
+      for (int i = 0; i < nq; ++i) {
+        const float* q = batch.queries.data() + (qb + i) * d;
+        cands.clear();
+        const auto rescore = [&](int64_t r) {
+          cands.push_back(ScoredHit{
+              r, kernel::DotAscending(items_.data() + r * d, q, d)});
+        };
+        if (every_row) {
+          for (int64_t r = 0; r < n; ++r) rescore(r);
+        } else {
+          streams[static_cast<size_t>(i)].ForEachCandidate(rescore);
         }
-        cands.push_back(ScoredHit{
-            r, serve::DotAscending(items_.data() + r * d, q, d)});
-      }
-      const int64_t keep =
-          std::min(take, static_cast<int64_t>(cands.size()));
-      std::partial_sort(cands.begin(), cands.begin() + keep, cands.end(),
-                        [](const ScoredHit& a, const ScoredHit& b2) {
-                          return a.score > b2.score ||
-                                 (a.score == b2.score && a.index < b2.index);
-                        });
-      cands.resize(static_cast<size_t>(keep));
-        out.hits[static_cast<size_t>(i)] = cands;
+        const int64_t keep =
+            std::min(take, static_cast<int64_t>(cands.size()));
+        std::partial_sort(cands.begin(), cands.begin() + keep, cands.end(),
+                          [](const ScoredHit& a, const ScoredHit& b2) {
+                            return a.score > b2.score ||
+                                   (a.score == b2.score && a.index < b2.index);
+                          });
+        cands.resize(static_cast<size_t>(keep));
+        out.hits[static_cast<size_t>(qb + i)] = cands;
       }
     });
     out.score_ms = watch.ElapsedMillis();  // Scan, bounds and rerank fused.
@@ -239,6 +312,42 @@ class QuantizedBackend final : public ScoringBackend {
   }
 
  private:
+  /// Score intervals [lower[i], upper[i]] of rows [r0, r0 + rows) for one
+  /// query, from its int8 dots. No early exit, so the loop vectorises; each
+  /// lane evaluates the same expression in the same order, with mul and add
+  /// rounded separately (-ffp-contract=off), so the bounds keep their bits.
+  /// Every bound is finite: QuantizeRows rejects non-finite rows and
+  /// ScoringBackend::ScoreTopK non-finite queries, so no term exceeds
+  /// FLT_MAX^2 (~1.2e77) times a factor below 2^31 (a dot, sum_abs_codes
+  /// or d). That is about 1e87 in all, far inside double's range, and no
+  /// inf - inf or 0 * inf can make a NaN.
+  void Bounds(const QueryStats& q, int64_t r0, int64_t rows,
+              const int32_t* dots, double* lower, double* upper) const {
+    const float* scales = corpus_.scales.data() + r0;
+    const float* biases = corpus_.biases.data() + r0;
+    const int32_t* sum_abs_codes = corpus_.sum_abs_codes.data() + r0;
+    const float* recon_errors = corpus_.recon_errors.data() + r0;
+    const float* max_abs = corpus_.max_abs.data() + r0;
+    // Locals, not members: the stores below could alias a double member.
+    const double q_scale = q.scale;
+    const double sum_q = q.sum_q;
+    const double sum_abs_q = q.sum_abs_q;
+    const double max_err = q.max_err;
+    const double chain_gamma = chain_gamma_;
+    const double chain_abs = chain_abs_;
+    for (int64_t i = 0; i < rows; ++i) {
+      const double scale = scales[i];
+      const double approx = q_scale * scale * dots[i] +
+                            static_cast<double>(biases[i]) * sum_q;
+      double err = scale * max_err * sum_abs_codes[i] +
+                   sum_abs_q * recon_errors[i] +
+                   chain_gamma * max_abs[i] * sum_abs_q + chain_abs;
+      err = err * (1.0 + kBoundMargin) + kBoundMargin * std::fabs(approx);
+      lower[i] = approx - err;
+      upper[i] = approx + err;
+    }
+  }
+
   Tensor items_;             // [N, D] float rows, cold until the rerank.
   QuantizedCorpus corpus_;   // What the approximate scan reads.
   const int64_t rerank_factor_;

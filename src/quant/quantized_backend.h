@@ -10,7 +10,7 @@ namespace adamine::quant {
 /// Factory for the "quantized" scoring backend: an int8 approximate scan
 /// over the quantized corpus (kernel::Int8ScanRows) selects a candidate set
 /// via per-row score intervals, then an exact float rerank over the
-/// gathered rows (serve::DotAscending) produces the final top-k. The
+/// gathered rows (kernel::DotAscending) produces the final top-k. The
 /// candidate set provably contains the true top-k (see the bound derivation
 /// in quantized_backend.cc), so the result is bit-identical to the scalar
 /// reference and the backend reports exact() == true.

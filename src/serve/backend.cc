@@ -1,9 +1,8 @@
 // The scoring-backend registry and the built-in engines. The scalar
-// reference loops in this file are single ascending float accumulation
-// chains, exactly the per-element order of kernel::Gemm; the TU is
-// compiled with -O3;-ffp-contract=off (src/CMakeLists.txt) so the
-// compiler cannot fuse them into FMAs, keeping every backend bit-identical
-// to the reference (see DESIGN.md, "Backend registry").
+// reference scores with kernel::DotAscending, a single ascending float
+// accumulation chain in exactly the per-element order of kernel::Gemm, so
+// every backend stays bit-identical to the reference (see DESIGN.md,
+// "Backend registry").
 
 #include "serve/backend.h"
 
@@ -16,18 +15,13 @@
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
+#include "kernel/reduce.h"
 #include "mutate/mutable_backend.h"
 #include "quant/quantized_backend.h"
 #include "serve/sharded_service.h"
 #include "util/stopwatch.h"
 
 namespace adamine::serve {
-
-float DotAscending(const float* a, const float* b, int64_t d) {
-  float acc = 0.0f;
-  for (int64_t j = 0; j < d; ++j) acc += a[j] * b[j];
-  return acc;
-}
 
 namespace {
 
@@ -70,7 +64,7 @@ class ScalarBackend final : public ScoringBackend {
       const float* query = batch.queries.data() + i * d;
       for (int64_t r = 0; r < n; ++r) {
         sims[static_cast<size_t>(r)] =
-            DotAscending(items_.data() + r * d, query, d);
+            kernel::DotAscending(items_.data() + r * d, query, d);
       }
       std::iota(order.begin(), order.end(), 0);
       std::partial_sort(order.begin(), order.begin() + take, order.end(),

@@ -14,14 +14,6 @@
 
 namespace adamine::serve {
 
-/// Inner product as a single float accumulation chain in ascending j — the
-/// per-element order of kernel::Gemm and of index::IvfIndex's scalar path.
-/// This is *the* reference similarity: every exact backend must produce
-/// scores with these bits. Defined in backend.cc, which is on the
-/// -ffp-contract=off list, so callers in other TUs get the un-fused chain
-/// regardless of their own compile flags.
-float DotAscending(const float* a, const float* b, int64_t d);
-
 /// One retrieved item with its cosine score — the currency of the sharded
 /// merge path, where per-shard top-k lists are re-ranked globally and
 /// shard-local tie-breaking alone cannot order candidates across shards.

@@ -1,11 +1,12 @@
 // The quantized-scoring suite (ctest label `quant`): ref-vs-fast diffing of
-// the int8 dot kernels in the ggml test-backend-ops style — every length
-// around the vector width, misaligned starts, adversarial code patterns —
-// plus the row-quantizer's error-bound contract on hostile rows (denormal,
-// max-magnitude, all-equal, wildly mixed), the ADMQ on-disk format's
-// corruption behaviour, and end-to-end bit-identity of the quantized
-// backend against the scalar reference across k x threads x rerank_factor
-// on a quantization-hostile corpus. The backend also auto-inherits the full
+// the int8 scan (AVX2 tile and portable loop) in the ggml test-backend-ops
+// style — every length around the vector width, misaligned starts,
+// adversarial code patterns, every query count — plus the row-quantizer's
+// error-bound contract on hostile rows (denormal, max-magnitude, all-equal,
+// wildly mixed), the ADMQ on-disk format's corruption behaviour, and
+// end-to-end bit-identity of the quantized backend against the scalar
+// reference across k x threads x rerank_factor on a quantization-hostile
+// corpus and at the serving shape. The backend also auto-inherits the full
 // golden matrix by registration (tests/backend_golden_test.cc).
 
 #include <gtest/gtest.h>
@@ -46,9 +47,21 @@ std::vector<int8_t> RandomCodes(int64_t n, Rng* rng) {
   return v;
 }
 
+/// The one-row, one-query case of both scans (the AVX2 tile where the CPU
+/// has it, and the portable loop) against the reference.
+void ExpectOneRowScansMatchRef(const int8_t* a, const int8_t* b, int64_t n) {
+  const int32_t expect = kernel::Int8DotRef(a, b, n);
+  int32_t fast = -1;
+  int32_t portable = -1;
+  kernel::Int8ScanRows(a, 1, n, b, &fast);
+  kernel::internal::Int8ScanRowsPortable(a, 1, n, b, 1, &portable);
+  EXPECT_EQ(fast, expect) << "n=" << n << " isa=" << kernel::Int8DotIsa();
+  EXPECT_EQ(portable, expect) << "n=" << n << " portable";
+}
+
 TEST(Int8DotTest, MatchesReferenceAcrossLengths) {
-  // Every length through a few vector widths (the AVX2 kernel consumes 32
-  // elements per step, so 0..67 covers empty, sub-width, exact-width and
+  // Every length through a few vector widths (the AVX2 tile consumes 16
+  // codes per step, so 0..67 covers empty, sub-width, exact-width and
   // tail-remainder shapes), plus wider power-of-two and off-by-one sizes.
   Rng rng(101);
   std::vector<int64_t> lengths;
@@ -57,9 +70,7 @@ TEST(Int8DotTest, MatchesReferenceAcrossLengths) {
   for (int64_t n : lengths) {
     const std::vector<int8_t> a = RandomCodes(n, &rng);
     const std::vector<int8_t> b = RandomCodes(n, &rng);
-    EXPECT_EQ(kernel::Int8Dot(a.data(), b.data(), n),
-              kernel::Int8DotRef(a.data(), b.data(), n))
-        << "n=" << n << " isa=" << kernel::Int8DotIsa();
+    ExpectOneRowScansMatchRef(a.data(), b.data(), n);
   }
 }
 
@@ -72,9 +83,9 @@ TEST(Int8DotTest, MatchesReferenceOnMisalignedStarts) {
   const std::vector<int8_t> b = RandomCodes(n + 33, &rng);
   for (int64_t off_a : {0, 1, 7, 31}) {
     for (int64_t off_b : {0, 3, 17}) {
-      EXPECT_EQ(kernel::Int8Dot(a.data() + off_a, b.data() + off_b, n),
-                kernel::Int8DotRef(a.data() + off_a, b.data() + off_b, n))
-          << "offsets " << off_a << ", " << off_b;
+      SCOPED_TRACE(::testing::Message()
+                   << "offsets " << off_a << ", " << off_b);
+      ExpectOneRowScansMatchRef(a.data() + off_a, b.data() + off_b, n);
     }
   }
 }
@@ -83,7 +94,7 @@ TEST(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
   // Saturated codes at the maximum supported length drive the accumulator
   // to its extremes: +-127 * +-127 * 131072 stays inside int32 by the
   // kInt8DotMaxElems contract, and the madd_epi16 pairing in the AVX2
-  // kernel must not wrap intermediate i16 sums.
+  // tile must not wrap intermediate i16 sums.
   const int64_t n = kernel::kInt8DotMaxElems;
   std::vector<int8_t> all_max(static_cast<size_t>(n), int8_t{127});
   std::vector<int8_t> all_min(static_cast<size_t>(n), int8_t{-127});
@@ -96,8 +107,23 @@ TEST(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
                                            &zeros};
   for (const auto* a : patterns) {
     for (const auto* b : patterns) {
-      EXPECT_EQ(kernel::Int8Dot(a->data(), b->data(), n),
-                kernel::Int8DotRef(a->data(), b->data(), n));
+      ExpectOneRowScansMatchRef(a->data(), b->data(), n);
+    }
+  }
+  // The same 16 pairs from one 4-row x 4-query scan: the full-width tile
+  // at the maximum length.
+  std::vector<int8_t> stacked;
+  for (const auto* p : patterns) {
+    stacked.insert(stacked.end(), p->begin(), p->end());
+  }
+  std::vector<int32_t> dots(16, -1);
+  kernel::Int8ScanRows(stacked.data(), 4, n, stacked.data(), 4, dots.data());
+  for (int q = 0; q < 4; ++q) {
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(dots[static_cast<size_t>(q * 4 + r)],
+                kernel::Int8DotRef(patterns[r]->data(), patterns[q]->data(),
+                                   n))
+          << "row " << r << " query " << q;
     }
   }
   // Spot-check one closed form: 127 * 127 * n.
@@ -106,20 +132,39 @@ TEST(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
 }
 
 TEST(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
+  // Row counts around the tile heights (8 / queries) and past one parallel
+  // chunk; dims around the 16-code step; every query count.
   Rng rng(107);
-  const int64_t rows = 97, dim = 60;  // Deliberately not multiples of 32.
-  const std::vector<int8_t> codes = RandomCodes(rows * dim, &rng);
-  const std::vector<int8_t> query = RandomCodes(dim, &rng);
-  std::vector<int32_t> expect(static_cast<size_t>(rows));
-  for (int64_t r = 0; r < rows; ++r) {
-    expect[static_cast<size_t>(r)] =
-        kernel::Int8DotRef(codes.data() + r * dim, query.data(), dim);
-  }
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadGuard guard(threads);
-    std::vector<int32_t> got(static_cast<size_t>(rows), -1);
-    kernel::Int8ScanRows(codes.data(), rows, dim, query.data(), got.data());
-    EXPECT_EQ(got, expect) << "threads=" << threads;
+  for (int64_t rows : {1, 2, 3, 5, 97, 600}) {
+    for (int64_t dim : {1, 15, 16, 17, 31, 60, 128, 131}) {
+      const std::vector<int8_t> codes = RandomCodes(rows * dim, &rng);
+      const std::vector<int8_t> queries =
+          RandomCodes(kernel::kInt8ScanMaxQueries * dim, &rng);
+      for (int nq = 1; nq <= kernel::kInt8ScanMaxQueries; ++nq) {
+        std::vector<int32_t> expect(static_cast<size_t>(nq * rows));
+        for (int q = 0; q < nq; ++q) {
+          for (int64_t r = 0; r < rows; ++r) {
+            expect[static_cast<size_t>(q * rows + r)] = kernel::Int8DotRef(
+                codes.data() + r * dim, queries.data() + q * dim, dim);
+          }
+        }
+        for (int threads : {1, 2, 4, 8}) {
+          ThreadGuard guard(threads);
+          std::vector<int32_t> fast(expect.size(), -1);
+          std::vector<int32_t> portable(expect.size(), -1);
+          kernel::Int8ScanRows(codes.data(), rows, dim, queries.data(), nq,
+                               fast.data());
+          kernel::internal::Int8ScanRowsPortable(
+              codes.data(), rows, dim, queries.data(), nq, portable.data());
+          EXPECT_EQ(fast, expect)
+              << "rows=" << rows << " dim=" << dim << " queries=" << nq
+              << " threads=" << threads << " isa=" << kernel::Int8DotIsa();
+          EXPECT_EQ(portable, expect)
+              << "rows=" << rows << " dim=" << dim << " queries=" << nq
+              << " threads=" << threads << " portable";
+        }
+      }
+    }
   }
 }
 
@@ -289,9 +334,46 @@ Tensor MixedMagnitudeUnitRows(int64_t rows, int64_t dim, uint64_t seed) {
   return L2NormalizeRows(out);
 }
 
-TEST(QuantizedBackendTest, BitIdenticalToScalarOnHostileCorpus) {
-  const Tensor items = MixedMagnitudeUnitRows(60, 16, 131);
-  const Tensor queries = MixedMagnitudeUnitRows(6, 16, 137);
+/// Unit rows scattered around a few shared centres, like trained
+/// embeddings: many near neighbours per query, so the bounded heaps cut the
+/// candidate set, not only the rerank_factor floor. The centres depend on
+/// dim alone, so items and queries drawn with different seeds share them.
+Tensor ClusteredUnitRows(int64_t rows, int64_t dim, uint64_t seed) {
+  constexpr int64_t kCentres = 12;
+  Rng centre_rng(static_cast<uint64_t>(dim));
+  const Tensor centres = Tensor::Randn({kCentres, dim}, centre_rng);
+  Rng rng(seed);
+  Tensor out({rows, dim});
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t c = rng.UniformInt(kCentres);
+    for (int64_t j = 0; j < dim; ++j) {
+      out.At(r, j) =
+          centres.At(c, j) + static_cast<float>(0.4 * rng.Normal(0.0, 1.0));
+    }
+  }
+  return L2NormalizeRows(out);
+}
+
+/// Twenty rows quantized coarsely (a 0.49 beside +-100), so their score
+/// intervals are wide, and one exact constant row that scores 0.5 against
+/// e_0 and wins. Ranked by upper bound alone the wide rows fill any small
+/// rerank floor; only the verified cutoff, the k-th best lower bound, keeps
+/// the winner among the candidates.
+Tensor WideIntervalRows(int64_t dim) {
+  Tensor out({21, dim});
+  for (int64_t r = 0; r < 20; ++r) {
+    out.At(r, 0) = 0.49f;
+    out.At(r, 1) = 100.0f;
+    out.At(r, 2) = -100.0f;
+  }
+  for (int64_t j = 0; j < dim; ++j) out.At(20, j) = 0.5f;
+  return out;
+}
+
+/// Diffs the quantized backend against the scalar reference, ids and score
+/// bits, for every k x rerank_factor {1, 4, 64} x threads {1, 4}.
+void ExpectQuantizedMatchesScalar(const Tensor& items, const Tensor& queries,
+                                  const std::vector<int64_t>& ks) {
   serve::BackendConfig config;
   config.items = items;
   auto scalar = serve::CreateBackend("scalar", config);
@@ -300,7 +382,7 @@ TEST(QuantizedBackendTest, BitIdenticalToScalarOnHostileCorpus) {
     config.rerank_factor = rerank_factor;
     auto quantized = serve::CreateBackend("quantized", config);
     ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
-    for (int64_t k : {1, 7, 60}) {
+    for (int64_t k : ks) {
       auto expect = (*scalar)->ScoreTopK(serve::QueryBatch{queries}, nullptr,
                                          k, serve::QueryOptions());
       ASSERT_TRUE(expect.ok()) << expect.status().ToString();
@@ -325,6 +407,37 @@ TEST(QuantizedBackendTest, BitIdenticalToScalarOnHostileCorpus) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(QuantizedBackendTest, BitIdenticalToScalarOnHostileCorpus) {
+  {
+    SCOPED_TRACE("mixed magnitude 60 x 16");
+    ExpectQuantizedMatchesScalar(MixedMagnitudeUnitRows(60, 16, 131),
+                                 MixedMagnitudeUnitRows(6, 16, 137),
+                                 {1, 7, 60});
+  }
+  {
+    SCOPED_TRACE("wide intervals 21 x 16");
+    Tensor queries({2, 16});
+    queries.At(0, 0) = 1.0f;
+    queries.At(1, 0) = -1.0f;
+    ExpectQuantizedMatchesScalar(WideIntervalRows(16), queries, {1, 2, 22});
+  }
+  // The serving shape: several 16-code steps and a tail at dim 131, several
+  // row blocks and an odd last row, k past the corpus size, and query
+  // blocks of every width: the batch and the pool width set it, so batch 7
+  // runs blocks of 4 and 3 on one thread and of 2 and 1 on four.
+  const int64_t rows = 1501;
+  for (int64_t dim : {128, 131}) {
+    const Tensor items = ClusteredUnitRows(rows, dim, 149);
+    const Tensor queries = ClusteredUnitRows(33, dim, 151);
+    for (int64_t batch : {1, 5, 7, 33}) {
+      SCOPED_TRACE(::testing::Message() << "clustered " << rows << " x "
+                                        << dim << ", batch " << batch);
+      ExpectQuantizedMatchesScalar(items, SliceRows(queries, 0, batch),
+                                   {1, 10, rows + 1});
     }
   }
 }
