@@ -1,6 +1,6 @@
 // Microbenchmarks of the substrate kernels (google-benchmark): GEMM, the
-// int8 scan, LSTM encoding, the batch triplet losses, retrieval ranking,
-// and word2vec.
+// int8 scan, top-k selection, LSTM encoding, the batch triplet losses,
+// retrieval ranking, and word2vec.
 // These are the building blocks whose cost dominates training and
 // evaluation; sizes mirror the defaults used by the table benches.
 //
@@ -12,10 +12,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "core/losses.h"
+#include "data/generator.h"
 #include "eval/metrics.h"
+#include "kernel/gemm.h"
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
+#include "kernel/topk.h"
 #include "nn/embedding.h"
 #include "nn/lstm.h"
 #include "tensor/ops.h"
@@ -85,6 +92,60 @@ void BM_Int8Scan(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * queries * rows * dim);
 }
 BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}});
+
+/// Top-10 selection from a query block's [m, n] score matrix, at the two
+/// serving shapes: an rpc-fanout shard dispatch (32 queries x 3,000 rows)
+/// and an ingest-live batch (16 x 2,000). Scores come from the recipe
+/// generator's image features (192 Zipf classes, d = 128), so the rows
+/// cluster as in the serving benchmark. The third argument picks the
+/// selector: 0 ranks each query with a std::partial_sort of an index
+/// vector, as the scalar oracle does, and 1 with kernel::TopK. Items/s
+/// counts scores ranked.
+void BM_TopK(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  const bool use_topk = state.range(2) == 1;
+  constexpr int64_t kTopK = 10;
+  constexpr int64_t kDim = 128;
+  data::GeneratorConfig config;
+  config.num_recipes = m + n;
+  config.num_classes = 192;
+  config.image_dim = kDim;
+  config.seed = 11;
+  const data::Dataset dataset =
+      data::RecipeGenerator::Create(config).value().Generate();
+  Tensor rows({m + n, kDim});
+  for (int64_t i = 0; i < m + n; ++i) {
+    const Tensor& image = dataset.recipes[static_cast<size_t>(i)].image;
+    std::copy(image.data(), image.data() + kDim, rows.data() + i * kDim);
+  }
+  rows = L2NormalizeRows(rows);
+  std::vector<float> sims(static_cast<size_t>(m * n));
+  kernel::Gemm(rows.data() + n * kDim, kDim, false, rows.data(), kDim, true,
+               m, n, kDim, sims.data());
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  kernel::TopK top(kTopK);
+  for (auto _ : state) {
+    for (int64_t i = 0; i < m; ++i) {
+      const float* row = sims.data() + i * n;
+      if (use_topk) {
+        top.Push(row, n, /*base_id=*/0);
+        benchmark::DoNotOptimize(top.Take());
+      } else {
+        std::iota(order.begin(), order.end(), 0);
+        std::partial_sort(order.begin(), order.begin() + kTopK, order.end(),
+                          [row](int64_t a, int64_t b) {
+                            return row[a] > row[b] ||
+                                   (row[a] == row[b] && a < b);
+                          });
+        benchmark::DoNotOptimize(order.data());
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+BENCHMARK(BM_TopK)->ArgsProduct({{32}, {3000}, {0, 1}})
+    ->ArgsProduct({{16}, {2000}, {0, 1}});
 
 void BM_CosineSimilarityMatrix(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -1,9 +1,9 @@
 #include "core/embedder.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -96,17 +96,11 @@ std::vector<int64_t> RetrievalIndex::Query(const Tensor& query,
     sims[static_cast<size_t>(i)] =
         kernel::DotAscending(items_.data() + i * d, query.data(), d);
   }
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  const int64_t take = std::min(k, n);
-  std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                    [&](int64_t a, int64_t b) {
-                      const float sa = sims[static_cast<size_t>(a)];
-                      const float sb = sims[static_cast<size_t>(b)];
-                      return sa > sb || (sa == sb && a < b);
-                    });
-  order.resize(static_cast<size_t>(take));
-  return order;
+  kernel::TopK top(k);
+  top.Push(sims.data(), n, /*base_id=*/0);
+  std::vector<int64_t> ids;
+  for (const kernel::ScoredHit& hit : top.Take()) ids.push_back(hit.index);
+  return ids;
 }
 
 }  // namespace adamine::core

@@ -32,6 +32,7 @@ class RetrievalIndex {
 
   /// Indices of the `k` nearest items to the unit query row [D] by cosine
   /// similarity, most similar first (deterministic tie-break by index).
+  /// Requires k > 0 (checked).
   std::vector<int64_t> Query(const Tensor& query, int64_t k) const;
 
   int64_t size() const { return items_.rows(); }

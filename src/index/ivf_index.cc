@@ -1,28 +1,18 @@
 #include "index/ivf_index.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <utility>
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
 #include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "linalg/kmeans.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
 namespace adamine::index {
-
-namespace {
-
-/// Shared (similarity desc, index asc) candidate order.
-bool CandidateBefore(const std::pair<float, int64_t>& a,
-                     const std::pair<float, int64_t>& b) {
-  return a.first > b.first || (a.first == b.first && a.second < b.second);
-}
-
-}  // namespace
 
 Status IvfConfig::Validate() const {
   if (num_lists <= 0) {
@@ -83,35 +73,29 @@ std::vector<int64_t> IvfIndex::Search(const Tensor& query, int64_t k,
 
   // Rank centroids by inner product with the query.
   const int64_t lists = centroids_.rows();
-  std::vector<std::pair<float, int64_t>> centroid_sims;
-  centroid_sims.reserve(static_cast<size_t>(lists));
+  std::vector<float> sims(static_cast<size_t>(lists));
   for (int64_t c = 0; c < lists; ++c) {
-    centroid_sims.emplace_back(
-        kernel::DotAscending(centroids_.data() + c * d, query.data(), d), c);
+    sims[static_cast<size_t>(c)] =
+        kernel::DotAscending(centroids_.data() + c * d, query.data(), d);
   }
-  const int64_t probe = std::min(probes, lists);
-  std::partial_sort(centroid_sims.begin(), centroid_sims.begin() + probe,
-                    centroid_sims.end(), CandidateBefore);
+  kernel::TopK top_lists(probes);
+  top_lists.Push(sims.data(), lists, /*base_id=*/0);
 
   // Scan the probed lists.
-  std::vector<std::pair<float, int64_t>> candidates;
-  for (int64_t p = 0; p < probe; ++p) {
-    for (int64_t item :
-         lists_[static_cast<size_t>(centroid_sims[static_cast<size_t>(p)]
-                                        .second)]) {
-      candidates.emplace_back(
-          kernel::DotAscending(items_.data() + item * d, query.data(), d),
-          item);
+  kernel::TopK top(k);
+  for (const kernel::ScoredHit& list : top_lists.Take()) {
+    const std::vector<int64_t>& items =
+        lists_[static_cast<size_t>(list.index)];
+    sims.resize(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      sims[i] = kernel::DotAscending(items_.data() + items[i] * d,
+                                     query.data(), d);
     }
+    top.Push(sims.data(), items.data(), static_cast<int64_t>(items.size()));
   }
-  const int64_t take =
-      std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
-  std::partial_sort(candidates.begin(), candidates.begin() + take,
-                    candidates.end(), CandidateBefore);
   std::vector<int64_t> result;
-  result.reserve(static_cast<size_t>(take));
-  for (int64_t i = 0; i < take; ++i) {
-    result.push_back(candidates[static_cast<size_t>(i)].second);
+  for (const kernel::ScoredHit& hit : top.Take()) {
+    result.push_back(hit.index);
   }
   return result;
 }
@@ -122,14 +106,15 @@ std::vector<std::vector<int64_t>> IvfIndex::SearchBatch(
   std::vector<std::vector<int64_t>> results(scored.size());
   for (size_t i = 0; i < scored.size(); ++i) {
     results[i].reserve(scored[i].size());
-    for (const auto& [sim, item] : scored[i]) results[i].push_back(item);
+    for (const kernel::ScoredHit& hit : scored[i]) {
+      results[i].push_back(hit.index);
+    }
   }
   return results;
 }
 
-std::vector<std::vector<std::pair<float, int64_t>>>
-IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
-                            int64_t probes) const {
+std::vector<std::vector<kernel::ScoredHit>> IvfIndex::SearchBatchScored(
+    const Tensor& queries, int64_t k, int64_t probes) const {
   const int64_t d = items_.cols();
   ADAMINE_CHECK_EQ(queries.ndim(), 2);
   ADAMINE_CHECK_EQ(queries.cols(), d);
@@ -147,37 +132,31 @@ IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
   // Stage 2: per-query probe selection (disjoint writes per query).
   std::vector<int64_t> probed(static_cast<size_t>(bsz * probe));
   kernel::ParallelFor(bsz, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-    std::vector<std::pair<float, int64_t>> order(static_cast<size_t>(lists));
+    kernel::TopK top(probe);
     for (int64_t i = i0; i < i1; ++i) {
-      const float* row = centroid_sims.data() + i * lists;
-      for (int64_t c = 0; c < lists; ++c) {
-        order[static_cast<size_t>(c)] = {row[c], c};
-      }
-      std::partial_sort(order.begin(), order.begin() + probe, order.end(),
-                        CandidateBefore);
-      for (int64_t p = 0; p < probe; ++p) {
-        probed[static_cast<size_t>(i * probe + p)] =
-            order[static_cast<size_t>(p)].second;
+      top.Push(centroid_sims.data() + i * lists, lists, /*base_id=*/0);
+      int64_t p = i * probe;
+      for (const kernel::ScoredHit& list : top.Take()) {
+        probed[static_cast<size_t>(p++)] = list.index;
       }
     }
   });
 
   // Stage 3: gather the union of every query's probed lists once, so each
   // candidate row is packed and scored against all queries in one GEMM.
-  const int64_t n = items_.rows();
+  // A list's rows sit in consecutive union columns from list_col[list].
   std::vector<char> in_union(static_cast<size_t>(lists), 0);
   for (int64_t slot : probed) in_union[static_cast<size_t>(slot)] = 1;
-  std::vector<int64_t> col_of(static_cast<size_t>(n), -1);
+  std::vector<int64_t> list_col(static_cast<size_t>(lists), -1);
   std::vector<int64_t> union_items;
   for (int64_t c = 0; c < lists; ++c) {
     if (!in_union[static_cast<size_t>(c)]) continue;
-    for (int64_t item : lists_[static_cast<size_t>(c)]) {
-      col_of[static_cast<size_t>(item)] =
-          static_cast<int64_t>(union_items.size());
-      union_items.push_back(item);
-    }
+    list_col[static_cast<size_t>(c)] =
+        static_cast<int64_t>(union_items.size());
+    const std::vector<int64_t>& items = lists_[static_cast<size_t>(c)];
+    union_items.insert(union_items.end(), items.begin(), items.end());
   }
-  std::vector<std::vector<std::pair<float, int64_t>>> results(
+  std::vector<std::vector<kernel::ScoredHit>> results(
       static_cast<size_t>(bsz));
   if (union_items.empty()) return results;  // Every probed list was empty.
   Tensor gathered = GatherRows(items_, union_items);
@@ -190,23 +169,17 @@ IvfIndex::SearchBatchScored(const Tensor& queries, int64_t k,
 
   // Stage 5: each query ranks only its own probed candidates.
   kernel::ParallelFor(bsz, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-    std::vector<std::pair<float, int64_t>> candidates;
+    kernel::TopK top(k);
     for (int64_t i = i0; i < i1; ++i) {
       const float* row = cand_sims.data() + i * u;
-      candidates.clear();
       for (int64_t p = 0; p < probe; ++p) {
         const int64_t list = probed[static_cast<size_t>(i * probe + p)];
-        for (int64_t item : lists_[static_cast<size_t>(list)]) {
-          candidates.emplace_back(row[col_of[static_cast<size_t>(item)]],
-                                  item);
-        }
+        const std::vector<int64_t>& items =
+            lists_[static_cast<size_t>(list)];
+        top.Push(row + list_col[static_cast<size_t>(list)], items.data(),
+                 static_cast<int64_t>(items.size()));
       }
-      const int64_t take =
-          std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
-      std::partial_sort(candidates.begin(), candidates.begin() + take,
-                        candidates.end(), CandidateBefore);
-      auto& out = results[static_cast<size_t>(i)];
-      out.assign(candidates.begin(), candidates.begin() + take);
+      results[static_cast<size_t>(i)] = top.Take();
     }
   });
   return results;
@@ -242,7 +215,7 @@ std::vector<std::vector<int64_t>> IvfIndex::QueryBatchWithProbes(
   return SearchBatch(queries, k, probes);
 }
 
-std::vector<std::vector<std::pair<float, int64_t>>>
+std::vector<std::vector<kernel::ScoredHit>>
 IvfIndex::QueryBatchScoredWithProbes(const Tensor& queries, int64_t k,
                                      int64_t probes) const {
   return SearchBatchScored(queries, k, probes);

@@ -2,9 +2,9 @@
 #define ADAMINE_INDEX_IVF_INDEX_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
+#include "kernel/topk.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -61,13 +61,12 @@ class IvfIndex {
   std::vector<std::vector<int64_t>> QueryBatchWithProbes(
       const Tensor& queries, int64_t k, int64_t probes) const;
 
-  /// QueryBatchWithProbes keeping the (similarity, index) pairs the ranking
-  /// already computes, for callers that need per-hit scores (the serving
-  /// backend seam, where approximate answers still carry reference-bitwise
-  /// scores). Same order, same bit-identity guarantee.
-  std::vector<std::vector<std::pair<float, int64_t>>>
-  QueryBatchScoredWithProbes(const Tensor& queries, int64_t k,
-                             int64_t probes) const;
+  /// QueryBatchWithProbes keeping the scores the ranking already computes,
+  /// for callers that need per-hit scores (the serving backend seam, where
+  /// approximate answers still carry reference-bitwise scores). Same order,
+  /// same bit-identity guarantee.
+  std::vector<std::vector<kernel::ScoredHit>> QueryBatchScoredWithProbes(
+      const Tensor& queries, int64_t k, int64_t probes) const;
 
   /// Runtime probe dial: overrides the config's num_probes for subsequent
   /// queries. Rejects values outside (0, num_lists] — the same rule as
@@ -93,7 +92,7 @@ class IvfIndex {
   std::vector<std::vector<int64_t>> SearchBatch(const Tensor& queries,
                                                 int64_t k,
                                                 int64_t probes) const;
-  std::vector<std::vector<std::pair<float, int64_t>>> SearchBatchScored(
+  std::vector<std::vector<kernel::ScoredHit>> SearchBatchScored(
       const Tensor& queries, int64_t k, int64_t probes) const;
 
   IvfConfig config_;

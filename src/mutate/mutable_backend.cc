@@ -10,7 +10,7 @@
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
-#include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "util/stopwatch.h"
 
 namespace adamine::mutate {
@@ -71,62 +71,43 @@ StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
   const int64_t d = snap->dim;
   serve::TopKResult out;
   Stopwatch watch;
-  // One GEMM per sealed segment; the per-element accumulation order is the
-  // scalar reference chain, so these scores carry reference bits.
-  std::vector<Tensor> segment_sims;
-  segment_sims.reserve(snap->sealed.size());
+  // One GEMM per sealed segment and per memtable chunk's filled prefix. The
+  // per-element accumulation order is the scalar reference chain, so these
+  // scores carry reference bits.
+  struct Block {
+    const int64_t* ids;
+    int64_t rows;
+    Tensor sims;  // [b, rows]
+  };
+  std::vector<Block> blocks;
+  const auto score = [&](const float* rows_data, const int64_t* ids,
+                         int64_t rows) {
+    if (rows <= 0) return;
+    Tensor sims({b, rows});
+    kernel::Gemm(batch.queries.data(), d, false, rows_data, d, true, b, rows,
+                 d, sims.data());
+    blocks.push_back(Block{ids, rows, std::move(sims)});
+  };
   for (const auto& segment : snap->sealed) {
-    Tensor sims({b, segment->size()});
-    kernel::Gemm(batch.queries.data(), d, false, segment->rows.data(), d,
-                 true, b, segment->size(), d, sims.data());
-    segment_sims.push_back(std::move(sims));
+    score(segment->rows.data(), segment->ids.data(), segment->size());
+  }
+  for (size_t c = 0; c < snap->mem.size(); ++c) {
+    const int64_t first = static_cast<int64_t>(c) * MemChunk::kRows;
+    score(snap->mem[c]->data.data(), snap->mem[c]->ids.data(),
+          std::min(MemChunk::kRows, snap->mem_rows - first));
   }
   out.score_ms = watch.ElapsedMillis();
   watch.Restart();
   out.hits.resize(static_cast<size_t>(b));
+  const auto deleted = [&snap](int64_t id) { return snap->deleted(id); };
   kernel::ParallelFor(b, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-    std::vector<std::pair<float, int64_t>> candidates;
+    kernel::TopK top(k);
     for (int64_t i = i0; i < i1; ++i) {
-      candidates.clear();
-      candidates.reserve(static_cast<size_t>(snap->live_rows));
-      for (size_t s = 0; s < snap->sealed.size(); ++s) {
-        const SealedSegment& segment = *snap->sealed[s];
-        const float* sims =
-            segment_sims[s].data() + i * segment.size();
-        for (int64_t r = 0; r < segment.size(); ++r) {
-          const int64_t id = segment.ids[static_cast<size_t>(r)];
-          if (snap->deleted(id)) continue;
-          candidates.emplace_back(sims[r], id);
-        }
+      for (const Block& block : blocks) {
+        top.Push(block.sims.data() + i * block.rows, block.ids, block.rows,
+                 deleted);
       }
-      // Memtable rows: the scalar reference chain per (query, row) —
-      // bit-identical to the GEMM path by the determinism contract.
-      const float* query = batch.queries.data() + i * d;
-      for (int64_t r = 0; r < snap->mem_rows; ++r) {
-        const MemChunk& chunk =
-            *snap->mem[static_cast<size_t>(r / MemChunk::kRows)];
-        const int64_t slot = r % MemChunk::kRows;
-        const int64_t id = chunk.ids[static_cast<size_t>(slot)];
-        if (snap->deleted(id)) continue;
-        candidates.emplace_back(
-            kernel::DotAscending(chunk.data.data() + slot * d, query, d), id);
-      }
-      const int64_t take =
-          std::min<int64_t>(k, static_cast<int64_t>(candidates.size()));
-      std::partial_sort(candidates.begin(), candidates.begin() + take,
-                        candidates.end(),
-                        [](const auto& a, const auto& b2) {
-                          return a.first > b2.first ||
-                                 (a.first == b2.first &&
-                                  a.second < b2.second);
-                        });
-      std::vector<serve::ScoredHit>& hits =
-          out.hits[static_cast<size_t>(i)];
-      hits.reserve(static_cast<size_t>(take));
-      for (int64_t j = 0; j < take; ++j) {
-        hits.push_back(serve::ScoredHit{candidates[static_cast<size_t>(j)].second,
-                                        candidates[static_cast<size_t>(j)].first});
-      }
+      out.hits[static_cast<size_t>(i)] = top.Take();
     }
   });
   out.rank_ms = watch.ElapsedMillis();

@@ -10,11 +10,12 @@
 namespace adamine::mutate {
 
 /// The "mutable" scoring backend: a MutableCorpus behind the ScoringBackend
-/// seam. Sealed segments are scored with one GEMM each, memtable rows with
-/// the scalar reference chain, and the merged candidates are ranked by
-/// (score desc, global id asc) with tombstoned rows skipped — bit-identical
-/// to the scalar reference over the surviving rows at every thread count,
-/// so the golden-diff harness covers it like any static backend.
+/// seam. Each sealed segment and each memtable chunk's filled prefix is
+/// scored with one GEMM, and every block's scores go to one kernel::TopK
+/// per query, ranked by (score desc, global id asc) with tombstoned rows
+/// skipped — bit-identical to the scalar reference over the surviving rows
+/// at every thread count, so the golden-diff harness covers it like any
+/// static backend.
 ///
 /// Mutations (Add / Delete / epoch) are forwarded to the corpus; queries
 /// score against the snapshot current at entry, never a half-sealed state.

@@ -44,6 +44,7 @@
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
 #include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "quant/int8_corpus.h"
 #include "util/stopwatch.h"
 
@@ -55,7 +56,6 @@ using serve::BackendConfig;
 using serve::Filter;
 using serve::QueryBatch;
 using serve::QueryOptions;
-using serve::ScoredHit;
 using serve::ScoringBackend;
 using serve::TopKResult;
 
@@ -282,29 +282,19 @@ class QuantizedBackend final : public ScoringBackend {
         }
       }
 
-      // Gather + exact rerank: ascending row order, reference float chain.
-      std::vector<ScoredHit> cands;
+      // Exact rerank: ascending row order, reference float chain.
+      kernel::TopK top(take);
       for (int i = 0; i < nq; ++i) {
         const float* q = batch.queries.data() + (qb + i) * d;
-        cands.clear();
         const auto rescore = [&](int64_t r) {
-          cands.push_back(ScoredHit{
-              r, kernel::DotAscending(items_.data() + r * d, q, d)});
+          top.Push(kernel::DotAscending(items_.data() + r * d, q, d), r);
         };
         if (every_row) {
           for (int64_t r = 0; r < n; ++r) rescore(r);
         } else {
           streams[static_cast<size_t>(i)].ForEachCandidate(rescore);
         }
-        const int64_t keep =
-            std::min(take, static_cast<int64_t>(cands.size()));
-        std::partial_sort(cands.begin(), cands.begin() + keep, cands.end(),
-                          [](const ScoredHit& a, const ScoredHit& b2) {
-                            return a.score > b2.score ||
-                                   (a.score == b2.score && a.index < b2.index);
-                          });
-        cands.resize(static_cast<size_t>(keep));
-        out.hits[static_cast<size_t>(qb + i)] = cands;
+        out.hits[static_cast<size_t>(qb + i)] = top.Take();
       }
     });
     out.score_ms = watch.ElapsedMillis();  // Scan, bounds and rerank fused.

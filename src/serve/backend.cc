@@ -16,6 +16,7 @@
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
 #include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "mutate/mutable_backend.h"
 #include "quant/quantized_backend.h"
 #include "serve/sharded_service.h"
@@ -91,7 +92,7 @@ class ScalarBackend final : public ScoringBackend {
 };
 
 /// Exhaustive cosine kNN: one tiled GEMM of the query batch against every
-/// item, then per-query top-k over the kernel pool. Exact.
+/// item, then a kernel::TopK per query over the kernel pool. Exact.
 class ExhaustiveBackend final : public ScoringBackend {
  public:
   explicit ExhaustiveBackend(Tensor items) : items_(std::move(items)) {}
@@ -115,24 +116,12 @@ class ExhaustiveBackend final : public ScoringBackend {
                  n, d, sims.data());
     out.score_ms = watch.ElapsedMillis();
     watch.Restart();
-    const int64_t take = std::min(k, n);
     out.hits.resize(static_cast<size_t>(m));
     kernel::ParallelFor(m, kernel::kRowGrain, [&](int64_t i0, int64_t i1) {
-      std::vector<int64_t> order(static_cast<size_t>(n));
+      kernel::TopK top(k);
       for (int64_t i = i0; i < i1; ++i) {
-        const float* row = sims.data() + i * n;
-        std::iota(order.begin(), order.end(), 0);
-        std::partial_sort(order.begin(), order.begin() + take, order.end(),
-                          [row](int64_t a, int64_t b) {
-                            return row[a] > row[b] ||
-                                   (row[a] == row[b] && a < b);
-                          });
-        std::vector<ScoredHit>& hits = out.hits[static_cast<size_t>(i)];
-        hits.reserve(static_cast<size_t>(take));
-        for (int64_t j = 0; j < take; ++j) {
-          hits.push_back(ScoredHit{order[static_cast<size_t>(j)],
-                                   row[order[static_cast<size_t>(j)]]});
-        }
+        top.Push(sims.data() + i * n, n, /*base_id=*/0);
+        out.hits[static_cast<size_t>(i)] = top.Take();
       }
     });
     out.rank_ms = watch.ElapsedMillis();
@@ -185,16 +174,8 @@ class IvfBackend final : public ScoringBackend {
     Stopwatch watch;
     // The fused batched search (centroid scan, candidate GEMM, per-query
     // ranking) reports as one score stage; rank_ms stays fused.
-    const auto scored =
-        index_.QueryBatchScoredWithProbes(batch.queries, k, effective);
+    out.hits = index_.QueryBatchScoredWithProbes(batch.queries, k, effective);
     out.score_ms = watch.ElapsedMillis();
-    out.hits.resize(scored.size());
-    for (size_t i = 0; i < scored.size(); ++i) {
-      out.hits[i].reserve(scored[i].size());
-      for (const auto& [score, id] : scored[i]) {
-        out.hits[i].push_back(ScoredHit{id, score});
-      }
-    }
     return out;
   }
 

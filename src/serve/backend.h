@@ -8,23 +8,18 @@
 #include <vector>
 
 #include "index/ivf_index.h"
+#include "kernel/topk.h"
 #include "serve/serve_stats.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
 namespace adamine::serve {
 
-/// One retrieved item with its cosine score — the currency of the sharded
+/// One retrieved item (its row id in the backend's item set) with its
+/// cosine score: what kernel::TopK selects, and the currency of the sharded
 /// merge path, where per-shard top-k lists are re-ranked globally and
 /// shard-local tie-breaking alone cannot order candidates across shards.
-struct ScoredHit {
-  int64_t index = 0;  // Row id in the backend's item set.
-  float score = 0.0f;
-
-  bool operator==(const ScoredHit& other) const {
-    return index == other.index && score == other.score;
-  }
-};
+using ScoredHit = kernel::ScoredHit;
 
 /// Per-request serving options, threaded from the service entry point down
 /// to the scoring backend.

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "kernel/topk.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -26,15 +27,6 @@ TimePoint DeadlineOf(const QueryOptions& options) {
 double MillisSince(TimePoint start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-/// The unsharded exhaustive ranking order: best score first, global row id
-/// breaking ties. Because every (query, item) dot product is computed by
-/// the same chain on every shard as in the unsharded service, sorting the
-/// union of per-shard top-k lists with this comparator reproduces the
-/// unsharded answer bit for bit.
-bool BetterHit(const ScoredHit& a, const ScoredHit& b) {
-  return a.score > b.score || (a.score == b.score && a.index < b.index);
 }
 
 }  // namespace
@@ -307,28 +299,25 @@ StatusOr<ShardedQueryResult> ShardedRetrievalService::QueryBatchWithOptions(
   }
 
   // Gather: per query row, merge the per-shard top-k lists into the global
-  // top-k. Any corpus-wide top-k item is within its own shard's top-k, so
-  // sorting the union with the unsharded comparator is exact.
+  // top-k. Every shard scores each (query, item) pair with the unsharded
+  // chain, and any corpus-wide top-k item is within its own shard's top-k,
+  // so selecting from the union under the unsharded order (score desc,
+  // global id asc) reproduces the unsharded answer bit for bit.
   const TimePoint merge_start = Clock::now();
   ShardedQueryResult out;
   out.partial = first_failed >= 0;
   out.coverage = coverage;
   out.results.resize(static_cast<size_t>(b));
-  std::vector<ScoredHit> pool;
+  kernel::TopK top(k);
   for (int64_t row = 0; row < b; ++row) {
-    pool.clear();
     for (int64_t s = 0; s < num; ++s) {
       if (!responded[static_cast<size_t>(s)]) continue;
-      const std::vector<ScoredHit>& hits =
-          shard_hits[static_cast<size_t>(s)][static_cast<size_t>(row)];
-      pool.insert(pool.end(), hits.begin(), hits.end());
+      for (const ScoredHit& hit :
+           shard_hits[static_cast<size_t>(s)][static_cast<size_t>(row)]) {
+        top.Push(hit.score, hit.index);
+      }
     }
-    const int64_t take = std::min<int64_t>(k,
-                                           static_cast<int64_t>(pool.size()));
-    std::partial_sort(pool.begin(), pool.begin() + take, pool.end(),
-                      BetterHit);
-    out.results[static_cast<size_t>(row)]
-        .assign(pool.begin(), pool.begin() + take);
+    out.results[static_cast<size_t>(row)] = top.Take();
   }
   const double merge_ms = MillisSince(merge_start);
 

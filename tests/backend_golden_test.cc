@@ -201,8 +201,8 @@ struct Corpus {
 };
 
 /// The corpus matrix: realistic clustered geometry, a corpus where every
-/// row is duplicated (exact score ties split across shard boundaries), a
-/// corpus where *all* scores tie (pure tie-rule ordering), and the
+/// row is duplicated (exact score ties split across shard boundaries), two
+/// corpora where *all* scores tie (pure tie-rule ordering), and the
 /// single-row corpus.
 const std::vector<Corpus>& GoldenCorpora() {
   static const std::vector<Corpus>& corpora = *new std::vector<Corpus>{
@@ -213,6 +213,11 @@ const std::vector<Corpus>& GoldenCorpora() {
        ClusteredUnitRows(3, 2, 8, 24)},
       {"identical", IdenticalUnitRows(12, 8, 25),
        ClusteredUnitRows(2, 2, 8, 26)},
+      // 37 tied rows: two full 16-score groups of kernel::TopK's cutoff
+      // test plus a 5-row tail, where the 12-row corpus above never leaves
+      // the tail.
+      {"identical_37", IdenticalUnitRows(37, 8, 31),
+       ClusteredUnitRows(2, 2, 8, 32)},
       {"single", ClusteredUnitRows(1, 1, 8, 27),
        ClusteredUnitRows(2, 1, 8, 28)},
       {"mixed_magnitude", MixedMagnitudeUnitRows(24, 8, 29),

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "eval/metrics.h"
 #include "kernel/gemm.h"
 #include "kernel/reduce.h"
+#include "kernel/topk.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -265,6 +269,189 @@ TEST(GemmTest, ZeroInnerDimensionZeroesTheOutput) {
   std::vector<float> c(12, 7.0f);
   kernel::Gemm(&dummy, 0, false, &dummy, 4, false, 3, 4, 0, c.data());
   for (float v : c) EXPECT_EQ(v, 0.0f);
+}
+
+// --- kernel::TopK -----------------------------------------------------------
+//
+// The selector is diffed against a full std::sort of every offered
+// (score, id) pair under this file's own copy of the ranking order, so a
+// broken order inside the selector cannot hide behind the reference. No
+// dot product is computed here, so this TU's compile flags do not matter.
+
+bool RefRanksBefore(const kernel::ScoredHit& a, const kernel::ScoredHit& b) {
+  return a.score > b.score || (a.score == b.score && a.index < b.index);
+}
+
+/// The best min(k, offered) of the offered pairs, ids divisible by three
+/// dropped when `skip_thirds`, fully sorted.
+std::vector<kernel::ScoredHit> SortedTopK(const std::vector<float>& scores,
+                                          const std::vector<int64_t>& ids,
+                                          int64_t k, bool skip_thirds) {
+  std::vector<kernel::ScoredHit> all;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (skip_thirds && ids[i] % 3 == 0) continue;
+    all.push_back(kernel::ScoredHit{ids[i], scores[i]});
+  }
+  std::sort(all.begin(), all.end(), RefRanksBefore);
+  if (static_cast<int64_t>(all.size()) > k) all.resize(static_cast<size_t>(k));
+  return all;
+}
+
+::testing::AssertionResult SameHits(const std::vector<kernel::ScoredHit>& want,
+                                    const std::vector<kernel::ScoredHit>& got) {
+  for (size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    if (want[i] == got[i]) continue;
+    return ::testing::AssertionFailure()
+           << "first divergence at rank " << i << ": want (id "
+           << want[i].index << ", score " << std::hexfloat << want[i].score
+           << "), got (id " << got[i].index << ", score " << got[i].score
+           << ")" << std::defaultfloat;
+  }
+  if (want.size() != got.size()) {
+    return ::testing::AssertionFailure() << "want " << want.size()
+                                         << " hits, got " << got.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// n scores: at most four distinct values (ties everywhere), or floats
+/// clustered tightly around three centres.
+std::vector<float> TopKScores(int64_t n, bool ties, Rng& rng) {
+  const double centres[] = {-0.3, 0.2, 0.7};
+  std::vector<float> scores(static_cast<size_t>(n));
+  for (float& score : scores) {
+    score = ties ? 0.25f * static_cast<float>(rng.UniformInt(4)) - 0.5f
+                 : static_cast<float>(
+                       rng.Normal(centres[rng.UniformInt(3)], 1e-3));
+  }
+  return scores;
+}
+
+enum class IdOrder { kAscending, kDescending, kShuffled };
+
+/// Ids base..base+n-1 in the given push order. Descending and shuffled
+/// orders make a row tying the cutoff arrive with a smaller id than the
+/// kept row it must displace.
+std::vector<int64_t> TopKIds(int64_t n, int64_t base, IdOrder order,
+                             Rng& rng) {
+  std::vector<int64_t> ids(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = base + i;
+  if (order == IdOrder::kDescending) std::reverse(ids.begin(), ids.end());
+  if (order == IdOrder::kShuffled) rng.Shuffle(ids);
+  return ids;
+}
+
+const int64_t kTopKSizes[] = {0, 1, 15, 16, 17, 31, 33, 257, 3000};
+
+std::vector<int64_t> TopKKs(int64_t n) {
+  std::vector<int64_t> ks;
+  for (const int64_t k :
+       {int64_t{1}, int64_t{10}, n, n + 5, int64_t{1} << 20}) {
+    if (k >= 1) ks.push_back(k);
+  }
+  return ks;
+}
+
+/// The SSE2 selector, or the portable one reached through kernel::internal.
+kernel::TopK MakeTopK(bool portable, int64_t k) {
+  return portable ? kernel::internal::PortableTopK(k) : kernel::TopK(k);
+}
+
+TEST(TopKTest, IdArrayPushesMatchAFullSort) {
+  // Every input is offered as two blocks split at each offset 0..17, so
+  // the 16-score groups meet every alignment, and one selector per k is
+  // reused across the splits, as a backend reuses it across queries.
+  Rng rng(41);
+  for (const bool portable : {false, true}) {
+    for (const int64_t n : kTopKSizes) {
+      for (const bool ties : {true, false}) {
+        const std::vector<float> scores = TopKScores(n, ties, rng);
+        for (const IdOrder order : {IdOrder::kAscending, IdOrder::kDescending,
+                                    IdOrder::kShuffled}) {
+          const std::vector<int64_t> ids = TopKIds(n, 0, order, rng);
+          for (const bool skip_thirds : {false, true}) {
+            const auto skip = [](int64_t id) { return id % 3 == 0; };
+            for (const int64_t k : TopKKs(n)) {
+              const auto want = SortedTopK(scores, ids, k, skip_thirds);
+              kernel::TopK top = MakeTopK(portable, k);
+              for (int64_t split = 0; split <= 17; ++split) {
+                const int64_t s = std::min(split, n);
+                if (skip_thirds) {
+                  top.Push(scores.data(), ids.data(), s, skip);
+                  top.Push(scores.data() + s, ids.data() + s, n - s, skip);
+                } else {
+                  top.Push(scores.data(), ids.data(), s);
+                  top.Push(scores.data() + s, ids.data() + s, n - s);
+                }
+                ASSERT_TRUE(SameHits(want, top.Take()))
+                    << "portable " << portable << " n " << n << " ties "
+                    << ties << " order " << static_cast<int>(order)
+                    << " skip " << skip_thirds << " k " << k << " split "
+                    << split;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKTest, BaseIdAndSingleRowPushesMatchAFullSort) {
+  constexpr int64_t kBase = 1000;
+  Rng rng(43);
+  for (const bool portable : {false, true}) {
+    for (const int64_t n : kTopKSizes) {
+      for (const bool ties : {true, false}) {
+        const std::vector<float> scores = TopKScores(n, ties, rng);
+        const std::vector<int64_t> ascending =
+            TopKIds(n, kBase, IdOrder::kAscending, rng);
+        for (const int64_t k : TopKKs(n)) {
+          const std::string where = "portable " + std::to_string(portable) +
+                                    " n " + std::to_string(n) + " ties " +
+                                    std::to_string(ties) + " k " +
+                                    std::to_string(k);
+          kernel::TopK top = MakeTopK(portable, k);
+          const auto want = SortedTopK(scores, ascending, k, false);
+          for (int64_t split = 0; split <= 17; ++split) {
+            const int64_t s = std::min(split, n);
+            top.Push(scores.data(), s, kBase);
+            top.Push(scores.data() + s, n - s, kBase + s);
+            ASSERT_TRUE(SameHits(want, top.Take()))
+                << where << " split " << split;
+          }
+          for (const IdOrder order :
+               {IdOrder::kAscending, IdOrder::kDescending,
+                IdOrder::kShuffled}) {
+            // Each id keeps its score whatever position it is pushed at.
+            for (const int64_t id : TopKIds(n, kBase, order, rng)) {
+              top.Push(scores[static_cast<size_t>(id - kBase)], id);
+            }
+            ASSERT_TRUE(SameHits(want, top.Take()))
+                << where << " single-row order " << static_cast<int>(order);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKTest, NanScoresNeverEnter) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> scores(40, nan);
+  scores[3] = 0.5f;
+  scores[21] = -0.5f;
+  for (const bool portable : {false, true}) {
+    kernel::TopK top = MakeTopK(portable, 5);
+    top.Push(scores.data(), static_cast<int64_t>(scores.size()), 0);
+    top.Push(nan, 99);
+    EXPECT_TRUE(SameHits({{3, 0.5f}, {21, -0.5f}}, top.Take()))
+        << "portable " << portable;
+  }
+}
+
+TEST(TopKDeathTest, NonPositiveKIsRejected) {
+  EXPECT_DEATH(kernel::TopK(0), "0 >= 1");
 }
 
 TEST(ElementwiseGuardDeathTest, UndefinedOperandsAreRejected) {

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "io/serialize.h"
+#include "kernel/kernel.h"
 #include "mutate/manifest.h"
 #include "mutate/mutable_backend.h"
 #include "mutate/mutable_corpus.h"
@@ -946,20 +947,22 @@ TEST_F(AtomicWriteFsyncTest, DirectoryFsyncFailureIsSurfaced) {
 
 using MutableBackendTest = MutateTest;
 
-/// Exhaustive reference over the rows of `live_ids` (ascending), plus the
-/// id remap: exhaustive hit index i means global id live_ids[i].
-StatusOr<std::unique_ptr<serve::ScoringBackend>> ExhaustiveOver(
-    const Tensor& items) {
+/// A static backend over `items`, row i answering as hit index i.
+StatusOr<std::unique_ptr<serve::ScoringBackend>> BackendOver(
+    const std::string& name, const Tensor& items) {
   serve::BackendConfig config;
   config.items = items;
-  return serve::CreateBackend("exhaustive", config);
+  return serve::CreateBackend(name, config);
 }
 
+/// Diffs the mutable backend against the scalar oracle over the rows of
+/// `live_ids` (ascending), with the id remap: scalar hit index i means
+/// global id live_ids[i].
 void ExpectBitIdentical(serve::ScoringBackend* mutable_backend,
                         const std::vector<int64_t>& live_ids,
                         const Tensor& live_rows, const Tensor& queries,
                         int64_t k) {
-  auto reference = ExhaustiveOver(live_rows);
+  auto reference = BackendOver("scalar", live_rows);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   serve::QueryBatch batch;
   batch.queries = queries;
@@ -993,7 +996,7 @@ TEST_F(MutableBackendTest, RegistrySeedsAFreshCorpusFromTheItems) {
 }
 
 TEST_F(MutableBackendTest, ImmutableBackendsRejectMutation) {
-  auto backend = ExhaustiveOver(ItemsForIds({0, 1}));
+  auto backend = BackendOver("exhaustive", ItemsForIds({0, 1}));
   ASSERT_TRUE(backend.ok());
   auto added = (*backend)->Add(RowTensor(9));
   ASSERT_FALSE(added.ok());
@@ -1031,6 +1034,74 @@ TEST_F(MutableBackendTest, MixedSealedAndMemtableStateIsBitIdentical) {
   }
   ExpectBitIdentical(backend->get(), live_ids, ItemsForIds(live_ids),
                      ItemsForIds({1000, 1001, 1002, 1003, 1004}), 4);
+}
+
+TEST_F(MutableBackendTest, ServingShapeWithTombstonesAndCrossTierTies) {
+  // The ingest-live shape at 1,100 rows: two sealed segments, then 600
+  // memtable rows in three MemChunks, the last one partial. Every ninth id
+  // repeats the vector of a first-segment row, so equal scores straddle
+  // sealed and memtable rows and only the id tie-break orders them, and
+  // every 37th id is deleted, leaving tombstones in each segment and chunk.
+  constexpr int64_t kSegmentRows[] = {300, 200};
+  constexpr int64_t kMemRows = 600;
+  constexpr int64_t kRows = 300 + 200 + kMemRows;
+  std::vector<int64_t> content(static_cast<size_t>(kRows));  // Row vectors.
+  for (int64_t id = 0; id < kRows; ++id) {
+    content[static_cast<size_t>(id)] = id % 9 == 4 ? id % 97 : id;
+  }
+  const auto content_of = [&](int64_t begin, int64_t end) {
+    return ItemsForIds(std::vector<int64_t>(content.begin() + begin,
+                                            content.begin() + end));
+  };
+  serve::BackendConfig config;
+  config.items = content_of(0, kSegmentRows[0]);
+  config.wal_dir = dir_;
+  auto backend = serve::CreateBackend("mutable", config);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  MutableCorpus* corpus =
+      static_cast<mutate::MutableBackend*>(backend->get())->corpus();
+  ASSERT_TRUE(corpus->Flush().ok());
+  ASSERT_TRUE(corpus->AddBatch(content_of(kSegmentRows[0], 500)).ok());
+  ASSERT_TRUE(corpus->Flush().ok());
+  ASSERT_TRUE(corpus->AddBatch(content_of(500, kRows)).ok());
+  std::vector<int64_t> live_ids;
+  for (int64_t id = 0; id < kRows; ++id) {
+    if (id % 37 == 5) {
+      ASSERT_TRUE((*backend)->Delete(id).ok());
+    } else {
+      live_ids.push_back(id);
+    }
+  }
+  const auto snap = corpus->snapshot();
+  ASSERT_EQ(snap->sealed.size(), 2u);
+  ASSERT_EQ(snap->mem.size(), 3u);
+  ASSERT_EQ(snap->mem_rows, kMemRows);
+  std::vector<int64_t> live_content;
+  for (int64_t id : live_ids) {
+    live_content.push_back(content[static_cast<size_t>(id)]);
+  }
+  const Tensor live_rows = ItemsForIds(live_content);
+  const int64_t live = static_cast<int64_t>(live_ids.size());
+
+  for (const int64_t batch : {int64_t{1}, int64_t{5}, int64_t{33}}) {
+    // Even queries are a repeated vector (a tie at the top), odd ones
+    // fresh.
+    std::vector<int64_t> query_ids;
+    for (int64_t q = 0; q < batch; ++q) {
+      query_ids.push_back(q % 2 == 0 ? (4 + 9 * q) % 97 : 5000 + q);
+    }
+    const Tensor queries = ItemsForIds(query_ids);
+    for (const int64_t k : {int64_t{1}, int64_t{10}, live + 3}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("batch " + std::to_string(batch) + " k " +
+                     std::to_string(k) + " threads " +
+                     std::to_string(threads));
+        kernel::SetNumThreads(threads);
+        ExpectBitIdentical(backend->get(), live_ids, live_rows, queries, k);
+        kernel::SetNumThreads(1);
+      }
+    }
+  }
 }
 
 TEST_F(MutableBackendTest, JustIngestedRowIsImmediatelyRetrievable) {
