@@ -8,12 +8,22 @@
 // argument — the kernel thread-pool width — so `BM_Gemm/256/4` reads
 // "n=256, 4 threads". Thread count never changes the bits of the result
 // (see DESIGN.md, "Kernel execution layer"), only the wall clock, so the
-// sweep is a pure scaling measurement.
+// sweep is a pure scaling measurement. GEMM and the int8 scan carry a third,
+// the kernel::Isa level they are capped at (0 portable, 1 avx2, 2
+// avx2_vnni), so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread, AVX-VNNI";
+// a level the CPU lacks is skipped, its row naming the missing level. The
+// level changes no bits either, so
+//
+//   build/bench/bench_kernels --benchmark_filter='BM_Int8Scan/.*/1/'
+//
+// prints DESIGN.md's per-level scan table in one run.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/losses.h"
@@ -41,9 +51,32 @@ class ThreadGuard {
   ~ThreadGuard() { kernel::SetNumThreads(1); }
 };
 
+/// Caps the kernels at ISA level `level` (an index into kernel::kAllIsas)
+/// for one benchmark run. A level the CPU lacks marks the run skipped, and
+/// the benchmark must then return before its loop.
+class IsaGuard {
+ public:
+  IsaGuard(benchmark::State& state, int64_t level) {
+    const kernel::Isa isa = kernel::kAllIsas[level];
+    if (isa > kernel::CpuIsa()) {
+      state.SkipWithError(
+          (std::string("this CPU lacks ") + kernel::IsaName(isa)).c_str());
+      return;
+    }
+    cap_.emplace(isa);
+  }
+
+  bool skipped() const { return !cap_; }
+
+ private:
+  std::optional<kernel::internal::ScopedIsa> cap_;
+};
+
 void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   ThreadGuard guard(static_cast<int>(state.range(1)));
+  IsaGuard isa(state, state.range(2));
+  if (isa.skipped()) return;
   Rng rng(1);
   Tensor a = Tensor::Randn({n, n}, rng);
   Tensor b = Tensor::Randn({n, n}, rng);
@@ -53,7 +86,7 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Gemm)->ArgsProduct({{32, 64, 128, 256}, {1, 4}});
+BENCHMARK(BM_Gemm)->ArgsProduct({{32, 64, 128, 256}, {1, 4}, {0, 1, 2}});
 
 void BM_GemmTransB(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -78,6 +111,8 @@ void BM_Int8Scan(benchmark::State& state) {
   const int64_t dim = 128;
   const int queries = static_cast<int>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
+  IsaGuard isa(state, state.range(2));
+  if (isa.skipped()) return;
   Rng rng(10);
   std::vector<int8_t> codes(static_cast<size_t>(rows * dim));
   std::vector<int8_t> query(static_cast<size_t>(queries * dim));
@@ -91,7 +126,7 @@ void BM_Int8Scan(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * queries * rows * dim);
 }
-BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}});
+BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}, {0, 1, 2}});
 
 /// Top-10 selection from a query block's [m, n] score matrix, at the two
 /// serving shapes: an rpc-fanout shard dispatch (32 queries x 3,000 rows)

@@ -6,7 +6,7 @@ Run from anywhere inside a checkout:
 
     python3 scripts/ab.py --parent REF --pairs N --seeds 1,2,5-9 \\
         [--workloads W,W] [--claim METRIC:WORKLOAD] [--trace 0|1] \\
-        [--seconds S]
+        [--seconds S] [--ledger PATH]
     python3 scripts/ab.py --self-test
 
 It extracts REF with `git archive` into .bench_build/ab/parent (no
@@ -38,6 +38,17 @@ For end-to-end metrics (--trace 0) the verdict reads, in this order:
   ok                          otherwise
 
 Per-layer metrics (--trace 1) carry no bounds; their verdict is "-".
+
+--ledger PATH appends the summary to PATH as one JSON line (the committed
+trajectory is bench/ledger.jsonl): the parent's sha, the change's (HEAD
+at run time, with "change_dirty" true when the working tree differed from
+it) and each side's servebench source id, the seeds, run_seconds, the
+machine (CPU model, nproc, pool width) and each side's int8_isa from the
+servebench fingerprints, and one row per workload and metric with both
+sides' median, q1 and q3, the wins, failed/attempted per side and the
+verdict. Compare lines only when their machine fields agree. --self-test
+checks the statistics, the line format, and every line of
+bench/ledger.jsonl.
 """
 
 import argparse
@@ -52,7 +63,10 @@ import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AB_DIR = os.path.join(ROOT, ".bench_build", "ab")
+LEDGER = os.path.join(ROOT, "bench", "ledger.jsonl")
 WIN_SHARE = 0.9  # A claim needs at least 9 wins in every 10 pairs.
+# The servebench fingerprint fields a ledger line records per side.
+MACHINE_KEYS = ("cpu", "nproc", "pool_threads")
 
 
 def fail(message):
@@ -140,6 +154,11 @@ def run_once(tree, target, workload, seed, seconds, trace):
             workload, seed, run.returncode, " | ".join(tail)),
             file=sys.stderr, flush=True)
         return None
+    # The binary's report line "fingerprint {...}" names the machine, the
+    # int8 scan's ISA and the source tree.
+    for line in lines:
+        if line.startswith("fingerprint "):
+            result["fingerprint"] = json.loads(line[len("fingerprint "):])
     return result
 
 
@@ -158,47 +177,174 @@ def fmt(value):
     return "%.4g" % value
 
 
-def summarize(spec, runs, trace, claims):
+def quartile_dict(values):
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summary_rows(spec, runs, trace, claims):
+    """One dict per workload and metric with paired runs: both sides'
+    quartiles, the wins, failed/attempted per side and the verdict."""
     metrics = spec["per_layer"] if trace else spec["end_to_end"]
-    row = "%%-15s %%-%ds %%-31s %%-31s %%8s %%6s %%-21s %%s" % max(
-        len(m["name"]) for m in metrics)
-    header = row % ("workload", "metric", "parent median [q1, q3]",
-                    "change median [q1, q3]", "change", "wins",
-                    "failed/attempted", "verdict")
-    print("\n" + header)
+    rows = []
     for workload in [w["name"] for w in spec["workloads"]]:
         pairs = [(p, c) for w, p, c in runs if w == workload and p and c]
         if not pairs:
             continue
         ops = {}
         for side, index in (("parent", 0), ("change", 1)):
-            failed = sum(pair[index]["failed"] for pair in pairs)
-            attempted = sum(pair[index]["attempted"] for pair in pairs)
-            ops[side] = (failed, attempted, failed / max(1, attempted))
-        failed_text = "%d/%d; %d/%d" % (ops["parent"][0], ops["parent"][1],
-                                        ops["change"][0], ops["change"][1])
+            ops[side] = [sum(pair[index]["failed"] for pair in pairs),
+                         sum(pair[index]["attempted"] for pair in pairs)]
+        shares = {side: failed / max(1, attempted)
+                  for side, (failed, attempted) in ops.items()}
         for metric in metrics:
             name = metric["name"]
             parent = [p["metrics"][name]["value"] for p, _ in pairs]
             change = [c["metrics"][name]["value"] for _, c in pairs]
-            p_q1, p_med, p_q3 = quartiles(parent)
-            c_q1, c_med, c_q3 = quartiles(change)
-            rel = (c_med - p_med) / p_med if p_med else 0.0
             if trace:
                 decision = "-"
             else:
                 decision = verdict(parent, change, metric["better"],
                                    metric["bound"],
                                    (name, workload) in claims,
-                                   ops["parent"][2], ops["change"][2])
-            print(row % (
-                workload, name,
-                "%s [%s, %s]" % (fmt(p_med), fmt(p_q1), fmt(p_q3)),
-                "%s [%s, %s]" % (fmt(c_med), fmt(c_q1), fmt(c_q3)),
-                "%+.1f%%" % (100.0 * rel),
-                "%d/%d" % (wins(parent, change, metric["better"]),
-                           len(pairs)),
-                failed_text, decision))
+                                   shares["parent"], shares["change"])
+            rows.append({
+                "workload": workload, "metric": name,
+                "unit": metric["unit"], "better": metric["better"],
+                "parent": quartile_dict(parent),
+                "change": quartile_dict(change),
+                "wins": wins(parent, change, metric["better"]),
+                "pairs": len(pairs), "failed_attempted": ops,
+                "verdict": decision})
+    return rows
+
+
+def summarize(rows):
+    row = "%%-15s %%-%ds %%-31s %%-31s %%8s %%6s %%-21s %%s" % max(
+        [len("metric")] + [len(r["metric"]) for r in rows])
+    print("\n" + row % ("workload", "metric", "parent median [q1, q3]",
+                        "change median [q1, q3]", "change", "wins",
+                        "failed/attempted", "verdict"))
+    for r in rows:
+        p, c = r["parent"], r["change"]
+        rel = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
+        ops = r["failed_attempted"]
+        print(row % (
+            r["workload"], r["metric"],
+            "%s [%s, %s]" % (fmt(p["median"]), fmt(p["q1"]), fmt(p["q3"])),
+            "%s [%s, %s]" % (fmt(c["median"]), fmt(c["q1"]), fmt(c["q3"])),
+            "%+.1f%%" % (100.0 * rel), "%d/%d" % (r["wins"], r["pairs"]),
+            "%d/%d; %d/%d" % tuple(ops["parent"] + ops["change"]),
+            r["verdict"]))
+
+
+# --- Ledger -----------------------------------------------------------------
+
+
+def git_sha(ref):
+    run = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                          ref + "^{commit}"], capture_output=True, text=True)
+    return run.stdout.strip() if run.returncode == 0 else None
+
+
+def working_tree_dirty():
+    run = subprocess.run(["git", "-C", ROOT, "status", "--porcelain",
+                          "--untracked-files=no"], capture_output=True,
+                         text=True)
+    return run.returncode != 0 or bool(run.stdout.strip())
+
+
+def ledger_line(args, claims, seeds, seconds, runs, rows, parent_sha,
+                change_sha, change_dirty):
+    """The ledger record of one A/B run (see the module docstring)."""
+    sides = {}
+    for side, index in (("parent", 1), ("change", 2)):
+        prints = [run[index]["fingerprint"] for run in runs
+                  if run[index] and "fingerprint" in run[index]]
+        if not prints:
+            fail("no %s run reported a fingerprint" % side)
+        sides[side] = prints
+    machine = {key: sides["change"][0][key] for key in MACHINE_KEYS}
+    for side, prints in sides.items():
+        for fingerprint in prints:
+            if any(fingerprint[key] != machine[key] for key in MACHINE_KEYS):
+                fail("the %s runs ran on differing machines" % side)
+    return {
+        "date": datetime.datetime.now(datetime.timezone.utc)
+                .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "parent": parent_sha, "change": change_sha,
+        "change_dirty": change_dirty,
+        "source": {side: prints[0]["source"]
+                   for side, prints in sides.items()},
+        "seeds": [seeds[pair % len(seeds)] for pair in range(args.pairs)],
+        "pairs": args.pairs, "run_seconds": seconds, "trace": args.trace,
+        "claims": sorted("%s:%s" % claim for claim in claims),
+        "machine": machine,
+        "int8_isa": {side: prints[0]["int8_isa"]
+                     for side, prints in sides.items()},
+        "rows": rows}
+
+
+LINE_TYPES = {"date": str, "parent": str, "change": str, "change_dirty": bool,
+              "source": dict, "seeds": list, "pairs": int,
+              "run_seconds": int, "trace": int, "claims": list,
+              "machine": dict, "int8_isa": dict, "rows": list}
+ROW_TYPES = {"workload": str, "metric": str, "unit": str, "better": str,
+             "parent": dict, "change": dict, "wins": int, "pairs": int,
+             "failed_attempted": dict, "verdict": str}
+
+
+def ledger_problems(text):
+    """What is wrong with one ledger line, as a list of messages."""
+    try:
+        line = json.loads(text)
+    except ValueError as e:
+        return ["not JSON: %s" % e]
+    if not isinstance(line, dict):
+        return ["not a JSON object"]
+    problems = []
+
+    def check(obj, types, where):
+        for key, kind in types.items():
+            if not isinstance(obj.get(key), kind) or (
+                    kind is int and isinstance(obj.get(key), bool)):
+                problems.append("%s%s: want %s, got %r" % (
+                    where, key, kind.__name__, obj.get(key)))
+
+    check(line, LINE_TYPES, "")
+    if problems:
+        return problems
+    for side in ("parent", "change"):
+        for field in ("source", "int8_isa"):
+            if not isinstance(line[field].get(side), str):
+                problems.append("%s.%s: want a string" % (field, side))
+    for key in MACHINE_KEYS:
+        if key not in line["machine"]:
+            problems.append("machine.%s: missing" % key)
+    if len(line["seeds"]) != line["pairs"] or not all(
+            isinstance(seed, int) for seed in line["seeds"]):
+        problems.append("seeds: want one integer per pair")
+    if not line["rows"]:
+        problems.append("rows: empty")
+    for i, row in enumerate(line["rows"]):
+        where = "rows[%d]." % i
+        if not isinstance(row, dict):
+            problems.append(where + ": not an object")
+            continue
+        check(row, ROW_TYPES, where)
+        for side in ("parent", "change"):
+            stats = row.get(side)
+            if isinstance(stats, dict) and not all(
+                    isinstance(stats.get(q), (int, float))
+                    for q in ("median", "q1", "q3")):
+                problems.append(where + side + ": want median, q1, q3")
+            ops = row.get("failed_attempted", {}).get(side) if isinstance(
+                row.get("failed_attempted"), dict) else None
+            if not (isinstance(ops, list) and len(ops) == 2 and
+                    all(isinstance(n, int) for n in ops)):
+                problems.append(where + "failed_attempted." + side +
+                                ": want [failed, attempted]")
+    return problems
 
 
 # --- Self-test --------------------------------------------------------------
@@ -240,6 +386,45 @@ def self_test():
          "unresolved"),
         (verdict(noisy, [v * 0.9 for v in noisy], "lower", 0.25), "ok"),
     ]
+    # A ledger line from synthetic runs passes the format check, and
+    # breaking any part of it is caught.
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "m", "unit": "ms", "better": "lower",
+                            "bound": 0.25}]}
+    fingerprint = {"source": "git:abc src:def", "cpu": "x", "nproc": 4,
+                   "pool_threads": 1, "int8_isa": "avx2"}
+
+    def result(value):
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"m": {"value": value, "unit": "ms"}},
+                "fingerprint": fingerprint}
+
+    runs = [("w", result(p), result(c)) for p, c in zip(parent, faster)]
+    args = argparse.Namespace(pairs=len(runs), trace=0)
+    claims = {("m", "w")}
+    rows = summary_rows(spec, runs, 0, claims)
+    line = ledger_line(args, claims, [41, 42], 30, runs, rows, "a" * 40,
+                       "b" * 40, False)
+    text = json.dumps(line)
+    checks += [
+        (ledger_problems(text), []),
+        (rows[0]["verdict"], "claim passes"),
+        (line["seeds"], [41, 42] * 5),
+        (line["int8_isa"], {"parent": "avx2", "change": "avx2"}),
+        (rows[0]["failed_attempted"], {"parent": [0, 100],
+                                       "change": [0, 100]}),
+    ]
+    broken = [dict(line, pairs="10"), dict(line, rows=[]),
+              dict(line, machine={}), dict(line, seeds=[41]),
+              dict(line, int8_isa={"parent": "avx2"}),
+              dict(line, rows=[dict(rows[0], wins=None)])]
+    checks += [(bool(ledger_problems(json.dumps(b))), True) for b in broken]
+    checks.append((bool(ledger_problems("{")), True))
+    if os.path.exists(LEDGER):
+        with open(LEDGER) as f:
+            for number, text in enumerate(f, 1):
+                where = "%s:%d" % (os.path.relpath(LEDGER, ROOT), number)
+                checks.append(((where, ledger_problems(text)), (where, [])))
     failures = [(i, got, want) for i, (got, want) in enumerate(checks)
                 if got != want]
     for i, got, want in failures:
@@ -262,6 +447,8 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seconds", type=int,
                         help="run length; default BENCHMARK.json run_seconds")
+    parser.add_argument("--ledger",
+                        help="append the summary as one JSON line to PATH")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
@@ -286,6 +473,11 @@ def main():
         claims.add((metric, workload))
     seeds = parse_seeds(args.seeds)
     seconds = args.seconds or spec["run_seconds"]
+    parent_sha = git_sha(args.parent)
+    if parent_sha is None:
+        fail("--parent %s is not a commit" % args.parent)
+    change_sha = git_sha("HEAD") or "none"
+    change_dirty = working_tree_dirty()
 
     sides = {"parent": (extract_parent(args.parent),
                         os.path.join(AB_DIR, "parent-target")),
@@ -319,7 +511,18 @@ def main():
                 runs.append((workload, results["parent"], results["change"]))
     print("\nab: %d pairs, seeds %s, %d s runs, parent %s; runs kept in %s" % (
         args.pairs, args.seeds, seconds, args.parent, log_path))
-    summarize(spec, runs, args.trace, claims)
+    rows = summary_rows(spec, runs, args.trace, claims)
+    summarize(rows)
+    if args.ledger:
+        line = json.dumps(ledger_line(args, claims, seeds, seconds, runs,
+                                      rows, parent_sha, change_sha,
+                                      change_dirty))
+        problems = ledger_problems(line)
+        if problems:
+            fail("ledger line malformed: %s" % "; ".join(problems))
+        with open(args.ledger, "a") as f:
+            f.write(line + "\n")
+        print("ab: appended the summary to %s" % args.ledger)
 
 
 if __name__ == "__main__":

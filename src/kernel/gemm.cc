@@ -1,8 +1,8 @@
 // Cache-tiled, panel-packed GEMM with a register-tile micro-kernel chosen
-// once per process: AVX2 intrinsics when the CPU has them, portable loops
-// otherwise. Both keep the naive loop's bits (see gemm.h); this TU is built
-// with -O3 -ffp-contract=off (src/CMakeLists.txt) so the portable loops
-// vectorise without fusing multiply and add.
+// per call from kernel::ActiveIsa(): AVX2 intrinsics from Isa::kAvx2 up,
+// portable loops below. Both keep the naive loop's bits (see gemm.h); this
+// TU is built with -O3 -ffp-contract=off (src/CMakeLists.txt) so the
+// portable loops vectorise without fusing multiply and add.
 
 #include "kernel/gemm.h"
 
@@ -171,8 +171,6 @@ constexpr MicroKernelTable kPortableKernels = {
 constexpr MicroKernelTable kAvx2Kernels = {
     &MicroKernelAvx2<1>, &MicroKernelAvx2<2>, &MicroKernelAvx2<3>,
     &MicroKernelAvx2<4>};
-
-const bool kUseAvx2 = CpuHasAvx2();
 #endif
 
 /// D = op(lhs) * op(rhs), with op(lhs) [rows, kdim] and op(rhs)
@@ -256,22 +254,12 @@ void Gemm(const float* a, int64_t lda, bool trans_a, const float* b,
           int64_t ldb, bool trans_b, int64_t m, int64_t n, int64_t k,
           float* c) {
 #if defined(__x86_64__)
-  if (kUseAvx2) {
+  if (ActiveIsa() >= Isa::kAvx2) {
     GemmWith(kAvx2Kernels, a, lda, trans_a, b, ldb, trans_b, m, n, k, c);
     return;
   }
 #endif
   GemmWith(kPortableKernels, a, lda, trans_a, b, ldb, trans_b, m, n, k, c);
 }
-
-namespace internal {
-
-void GemmPortable(const float* a, int64_t lda, bool trans_a, const float* b,
-                  int64_t ldb, bool trans_b, int64_t m, int64_t n, int64_t k,
-                  float* c) {
-  GemmWith(kPortableKernels, a, lda, trans_a, b, ldb, trans_b, m, n, k, c);
-}
-
-}  // namespace internal
 
 }  // namespace adamine::kernel

@@ -18,24 +18,14 @@ namespace adamine::kernel {
 /// produced by a single accumulation chain in ascending k order, with the
 /// multiply and the add rounded separately — exactly the naive triple
 /// loop's order — so neither the tiling nor the orientation changes bits
-/// (IEEE multiplication commutes). The micro-kernel is AVX2 when the CPU
-/// has it (see CpuHasAvx2), portable code otherwise, chosen once per
-/// process. Both the packing and the row loop are ParallelFor'ed over fixed
+/// (IEEE multiplication commutes). The micro-kernel is AVX2 from
+/// Isa::kAvx2 up and portable code below, dispatched on ActiveIsa() at each
+/// call. Both the packing and the row loop are ParallelFor'ed over fixed
 /// chunks, and every chunk writes a disjoint region, so results are also
 /// bit-identical for every thread count.
 void Gemm(const float* a, int64_t lda, bool trans_a, const float* b,
           int64_t ldb, bool trans_b, int64_t m, int64_t n, int64_t k,
           float* c);
-
-namespace internal {
-
-/// Gemm with the portable micro-kernel whatever the CPU, so tests can diff
-/// it against the reference on an AVX2 host. Not for production callers.
-void GemmPortable(const float* a, int64_t lda, bool trans_a, const float* b,
-                  int64_t ldb, bool trans_b, int64_t m, int64_t n, int64_t k,
-                  float* c);
-
-}  // namespace internal
 
 }  // namespace adamine::kernel
 

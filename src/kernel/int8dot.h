@@ -10,7 +10,8 @@ namespace adamine::kernel {
 /// the float kernels there is no accumulation-order subtlety: every
 /// implementation below returns the same bits by construction, and the
 /// ref-vs-fast harness (tests/quant_test.cc) pins that across lengths,
-/// alignments, adversarial code patterns, query counts and thread counts.
+/// alignments, adversarial code patterns, query counts, thread counts and
+/// ISA levels.
 ///
 /// Overflow contract: |a[i]|, |b[i]| <= 127, so each product is <= 16129 and
 /// an int32 accumulator is safe for n <= 2^31 / 16129 ~= 133k elements.
@@ -27,16 +28,20 @@ int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n);
 
 /// out[q * rows + r] = Int8DotRef(codes + r * dim, queries + q * dim, dim)
 /// for q in [0, num_queries) and r in [0, rows), 1 <= num_queries <= 4.
-/// One pass over the codes serves every query. On AVX2 the queries are
-/// widened to int16 once per call and each register tile holds 2 rows x 4
-/// queries (4 x 2 for two queries, 8 x 1 for one): a 16-code chunk of a row
-/// is sign-extended once and multiplied against every query with
-/// _mm256_madd_epi16. A caller that scans a corpus in steps pays the
-/// widening (a heap copy of the queries) once per step: at d = 128,
-/// 256-row steps run 1-2% slower than one call on a 4-vCPU AVX2 Xeon,
-/// about 25-40 ns a step. Without AVX2 a portable loop runs, chosen once per
-/// process (see CpuHasAvx2). Parallelised over fixed row chunks with
-/// disjoint writes, so the result is bit-identical at every thread count.
+/// One pass over the codes serves every query: each register tile holds 2
+/// rows x 4 queries (4 x 2 for two queries, 8 x 1 for one), and a chunk of
+/// a row is loaded once and multiplied against every query. The tile is
+/// picked from ActiveIsa() at each call:
+///   - kAvx2Vnni: 32-code chunks through _mm256_dpbusd_avx_epi32, with the
+///     row made unsigned (c + 128) and 128 * sum(q) subtracted in wrapping
+///     arithmetic, which is exact (see int8dot.cc);
+///   - kAvx2: 16-code chunks sign-extended to int16 against queries widened
+///     once per call (a heap copy: a caller that scans a corpus in steps
+///     pays it per step), through _mm256_madd_epi16;
+///   - kPortable: a plain loop.
+/// The codes past the last full chunk are added on the scalar side.
+/// Parallelised over fixed row chunks with disjoint writes, so the result
+/// is bit-identical at every thread count and every level.
 void Int8ScanRows(const int8_t* codes, int64_t rows, int64_t dim,
                   const int8_t* queries, int num_queries, int32_t* out);
 
@@ -44,18 +49,9 @@ void Int8ScanRows(const int8_t* codes, int64_t rows, int64_t dim,
 void Int8ScanRows(const int8_t* codes, int64_t rows, int64_t dim,
                   const int8_t* query, int32_t* out);
 
-/// Which implementation Int8ScanRows dispatches to: "avx2" or "scalar".
+/// Which tile Int8ScanRows dispatches to now: "avx2+vnni", "avx2" or
+/// "scalar" (the portable loop).
 const char* Int8DotIsa();
-
-namespace internal {
-
-/// Int8ScanRows with the portable loop whatever the CPU, so tests can diff
-/// it against the reference on an AVX2 host. Not for production callers.
-void Int8ScanRowsPortable(const int8_t* codes, int64_t rows, int64_t dim,
-                          const int8_t* queries, int num_queries,
-                          int32_t* out);
-
-}  // namespace internal
 
 }  // namespace adamine::kernel
 

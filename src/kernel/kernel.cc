@@ -1,5 +1,7 @@
 #include "kernel/kernel.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -19,6 +21,9 @@ constexpr int kMaxThreads = 256;
 std::mutex pool_mu;
 std::unique_ptr<ThreadPool> pool;          // Guarded by pool_mu.
 int configured_threads = 0;                // 0 = resolve default on first use.
+
+// ActiveIsa()'s ceiling: the top level unless a ScopedIsa lowers it.
+std::atomic<Isa> isa_cap{Isa::kAvx2Vnni};
 
 // True while the current thread is executing inside a ParallelFor body;
 // nested kernels then run inline instead of re-entering the pool.
@@ -64,15 +69,41 @@ int NumThreads() {
   return GetPool().num_threads();
 }
 
-bool CpuHasAvx2() {
+const char* IsaName(Isa isa) {
+  switch (isa) {
+    case Isa::kPortable:
+      return "portable";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAvx2Vnni:
+      return "avx2_vnni";
+  }
+  return "unknown";
+}
+
+Isa CpuIsa() {
+  static const Isa isa = [] {
 #if defined(__x86_64__)
-  return __builtin_cpu_supports("avx2") != 0;
+    __builtin_cpu_init();  // CpuIsa may run before libgcc's constructor.
+    if (!__builtin_cpu_supports("avx2")) return Isa::kPortable;
+    return __builtin_cpu_supports("avxvnni") ? Isa::kAvx2Vnni : Isa::kAvx2;
 #else
-  return false;
+    return Isa::kPortable;
 #endif
+  }();
+  return isa;
+}
+
+Isa ActiveIsa() {
+  return std::min(CpuIsa(), isa_cap.load(std::memory_order_relaxed));
 }
 
 namespace internal {
+
+ScopedIsa::ScopedIsa(Isa cap)
+    : saved_(isa_cap.exchange(cap, std::memory_order_relaxed)) {}
+
+ScopedIsa::~ScopedIsa() { isa_cap.store(saved_, std::memory_order_relaxed); }
 
 void RunChunks(int64_t num_chunks, const std::function<void(int64_t)>& body) {
   if (in_parallel_region) {

@@ -31,10 +31,30 @@ void SetNumThreads(int num_threads);
 /// The current pool width (resolving the env/hardware default on first use).
 int NumThreads();
 
-/// True when the CPU executes AVX2 (always false off x86-64). The kernels
-/// with an AVX2 path (Gemm, Int8ScanRows) read it once at start-up and
-/// dispatch on it; the binary itself targets baseline x86-64.
-bool CpuHasAvx2();
+/// The instruction-set levels the kernels with a vector path dispatch on,
+/// each a superset of the one before. The binary targets baseline x86-64;
+/// the vector kernels carry target attributes and run only at their level.
+enum class Isa {
+  kPortable,  // Plain loops (SSE2 auto-vectorised on x86-64).
+  kAvx2,      // AVX2, never FMA (see Gemm).
+  kAvx2Vnni,  // AVX2 plus AVX-VNNI's 256-bit vpdpbusd (the int8 scan).
+};
+
+/// Every level, lowest first.
+inline constexpr Isa kAllIsas[] = {Isa::kPortable, Isa::kAvx2,
+                                   Isa::kAvx2Vnni};
+
+/// "portable", "avx2" or "avx2_vnni".
+const char* IsaName(Isa isa);
+
+/// The CPU's level (kPortable off x86-64), resolved once per process.
+Isa CpuIsa();
+
+/// The level every kernel dispatches on, read at each call: CpuIsa(),
+/// unless a test caps it (internal::ScopedIsa). Gemm and the quantized
+/// backend's score bounds use AVX2 from kAvx2 up, Int8ScanRows has a tile
+/// per level, and TopK's cutoff test is SSE2 above kPortable.
+Isa ActiveIsa();
 
 /// Number of fixed-size chunks `ParallelFor` splits [0, n) into. Depends
 /// only on n and grain — never on the thread count.
@@ -43,6 +63,21 @@ inline int64_t NumChunks(int64_t n, int64_t grain) {
 }
 
 namespace internal {
+
+/// Caps ActiveIsa() at `cap` while the guard lives, so tests and benchmarks
+/// can run every level the CPU has, the portable loops included. Guards
+/// nest. Not for production callers: the cap is process-wide, so make and
+/// destroy a guard only while no kernel runs.
+class ScopedIsa {
+ public:
+  explicit ScopedIsa(Isa cap);
+  ~ScopedIsa();
+  ScopedIsa(const ScopedIsa&) = delete;
+  ScopedIsa& operator=(const ScopedIsa&) = delete;
+
+ private:
+  Isa saved_;
+};
 
 /// Runs body(chunk) for chunk in [0, num_chunks) on the global pool. Nested
 /// calls (a parallel body invoking another kernel) run inline so the pool is

@@ -7,6 +7,7 @@
 #include <emmintrin.h>
 #endif
 
+#include "kernel/kernel.h"
 #include "util/check.h"
 
 namespace adamine::kernel {
@@ -82,9 +83,7 @@ void Scan(bool portable, const float* scores, int64_t n, const float& cutoff,
 
 }  // namespace
 
-TopK::TopK(int64_t k) : TopK(k, /*portable=*/false) {}
-
-TopK::TopK(int64_t k, bool portable) : k_(k), portable_(portable) {
+TopK::TopK(int64_t k) : k_(k), portable_(ActiveIsa() == Isa::kPortable) {
   ADAMINE_CHECK_GE(k, 1);
 }
 
@@ -138,11 +137,5 @@ std::vector<ScoredHit> TopK::Take() {
   cutoff_ = -std::numeric_limits<float>::infinity();
   return out;
 }
-
-namespace internal {
-
-TopK PortableTopK(int64_t k) { return TopK(k, /*portable=*/true); }
-
-}  // namespace internal
 
 }  // namespace adamine::kernel

@@ -17,16 +17,6 @@ struct ScoredHit {
   }
 };
 
-class TopK;
-
-namespace internal {
-
-/// A TopK whose cutoff test is the portable loop whatever the CPU, so tests
-/// can diff it on an SSE2 host. Not for production callers.
-TopK PortableTopK(int64_t k);
-
-}  // namespace internal
-
 /// Exact bounded top-k selection in the ranking order of every retrieval
 /// path, the higher score first and the lower id breaking a tie: after any
 /// sequence of pushes, Take() returns exactly what std::partial_sort of
@@ -34,7 +24,8 @@ TopK PortableTopK(int64_t k);
 /// binary heap whose root is the worst kept row, and the root's score is
 /// the cutoff. A block push tests each group of 16 scores against the
 /// cutoff at once (four SSE2 compares and movemasks, baseline x86-64; a
-/// portable loop elsewhere), and only the lanes >= the cutoff go on to the
+/// portable loop elsewhere and when the selector is made at
+/// Isa::kPortable), and only the lanes >= the cutoff go on to the
 /// heap, where the full order decides: a row tying the cutoff enters when
 /// its id is lower. A score that compares false against every float (NaN)
 /// never enters.
@@ -76,11 +67,7 @@ class TopK {
   std::vector<ScoredHit> Take();
 
  private:
-  friend TopK internal::PortableTopK(int64_t k);
-
   using SkipFn = bool (*)(const void* fn, int64_t id);
-
-  TopK(int64_t k, bool portable);
 
   void PushSkipping(const float* scores, const int64_t* ids, int64_t n,
                     SkipFn skip, const void* fn);
@@ -90,7 +77,7 @@ class TopK {
   void Admit(const ScoredHit& hit);
 
   int64_t k_;
-  bool portable_;
+  bool portable_;  // ActiveIsa() was kPortable at construction.
   /// The worst kept row's score once k rows are kept; -inf before.
   float cutoff_ = -std::numeric_limits<float>::infinity();
   std::vector<ScoredHit> heap_;  // Root: the worst kept row.

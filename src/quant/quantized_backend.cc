@@ -77,22 +77,31 @@ constexpr int64_t kRowBlock = 256;
 /// O(n) partition pass plus the copy into scratch (measured ~10x slower on
 /// the serving bench shape). The selected *value* is identical to
 /// nth_element's, so candidate selection — and the bit-exact result — is
-/// unchanged.
+/// unchanged. Storage grows with the values kept, never with k: a huge k
+/// over a small corpus costs the corpus.
 class KthLargest {
  public:
-  explicit KthLargest(int64_t k) : k_(static_cast<size_t>(k)) {
-    heap_.reserve(k_);
-  }
+  explicit KthLargest(int64_t k) : k_(static_cast<size_t>(k)) {}
 
   void Push(double v) {
-    if (heap_.size() < k_) {
+    const size_t size = heap_.size();
+    if (size < k_) {
       heap_.push_back(v);
       std::push_heap(heap_.begin(), heap_.end(), std::greater<double>());
-    } else if (v > heap_.front()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<double>());
-      heap_.back() = v;
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<double>());
+      return;
     }
+    if (!(v > heap_.front())) return;
+    // Replace the root and sift v down past every smaller child, following
+    // the smaller child each step: one pass where pop_heap + push_heap
+    // made two.
+    size_t hole = 0;
+    for (size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && heap_[child + 1] < heap_[child]) ++child;
+      if (!(heap_[child] < v)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = v;
   }
 
   /// True once k values were pushed; from then on Push(v) with v <= Value()
@@ -252,6 +261,12 @@ class QuantizedBackend final : public ScoringBackend {
     // so that 2-4 queries still run on 2-4 threads. The width changes no
     // bits: the int8 dots are exact and each query's selection is its own,
     // so results are bit-identical at every thread count.
+    BoundsFn bounds = &QuantizedBackend::Bounds;
+#if defined(__x86_64__)
+    if (kernel::ActiveIsa() >= kernel::Isa::kAvx2) {
+      bounds = &QuantizedBackend::BoundsAvx2;
+    }
+#endif
     const int64_t threads = kernel::NumThreads();
     const int64_t width =
         std::clamp((b + threads - 1) / threads, int64_t{1}, kQueryBlock);
@@ -274,8 +289,8 @@ class QuantizedBackend final : public ScoringBackend {
           kernel::Int8ScanRows(corpus_.codes.data() + r0 * d, rows, d,
                                qcodes.data(), nq, dots.data());
           for (int i = 0; i < nq; ++i) {
-            Bounds(stats[i], r0, rows, dots.data() + i * rows, lower.data(),
-                   upper.data());
+            (this->*bounds)(stats[i], r0, rows, dots.data() + i * rows,
+                            lower.data(), upper.data());
             streams[static_cast<size_t>(i)].Push(r0, lower.data(),
                                                  upper.data(), rows);
           }
@@ -302,17 +317,25 @@ class QuantizedBackend final : public ScoringBackend {
   }
 
  private:
+  using BoundsFn = void (QuantizedBackend::*)(const QueryStats& q, int64_t r0,
+                                              int64_t rows,
+                                              const int32_t* dots,
+                                              double* lower,
+                                              double* upper) const;
+
   /// Score intervals [lower[i], upper[i]] of rows [r0, r0 + rows) for one
   /// query, from its int8 dots. No early exit, so the loop vectorises; each
   /// lane evaluates the same expression in the same order, with mul and add
-  /// rounded separately (-ffp-contract=off), so the bounds keep their bits.
+  /// rounded separately (-ffp-contract=off, and no "fma" target below), so
+  /// the bounds keep their bits at every vector width.
   /// Every bound is finite: QuantizeRows rejects non-finite rows and
   /// ScoringBackend::ScoreTopK non-finite queries, so no term exceeds
   /// FLT_MAX^2 (~1.2e77) times a factor below 2^31 (a dot, sum_abs_codes
   /// or d). That is about 1e87 in all, far inside double's range, and no
   /// inf - inf or 0 * inf can make a NaN.
-  void Bounds(const QueryStats& q, int64_t r0, int64_t rows,
-              const int32_t* dots, double* lower, double* upper) const {
+  [[gnu::always_inline]] void BoundsBody(const QueryStats& q, int64_t r0,
+                                         int64_t rows, const int32_t* dots,
+                                         double* lower, double* upper) const {
     const float* scales = corpus_.scales.data() + r0;
     const float* biases = corpus_.biases.data() + r0;
     const int32_t* sum_abs_codes = corpus_.sum_abs_codes.data() + r0;
@@ -337,6 +360,21 @@ class QuantizedBackend final : public ScoringBackend {
       upper[i] = approx + err;
     }
   }
+
+  /// BoundsBody at the baseline ISA, two doubles per SSE2 vector.
+  void Bounds(const QueryStats& q, int64_t r0, int64_t rows,
+              const int32_t* dots, double* lower, double* upper) const {
+    BoundsBody(q, r0, rows, dots, lower, upper);
+  }
+
+#if defined(__x86_64__)
+  /// BoundsBody four doubles per AVX2 vector, from Isa::kAvx2 up.
+  __attribute__((target("avx2"))) void BoundsAvx2(
+      const QueryStats& q, int64_t r0, int64_t rows, const int32_t* dots,
+      double* lower, double* upper) const {
+    BoundsBody(q, r0, rows, dots, lower, upper);
+  }
+#endif
 
   Tensor items_;             // [N, D] float rows, cold until the rerank.
   QuantizedCorpus corpus_;   // What the approximate scan reads.

@@ -22,6 +22,7 @@
 #include "core/losses.h"
 #include "core/pipeline.h"
 #include "eval/metrics.h"
+#include "isa_testlib.h"
 #include "kernel/gemm.h"
 #include "kernel/reduce.h"
 #include "kernel/topk.h"
@@ -185,25 +186,18 @@ Tensor NaiveGemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   return c;
 }
 
-// kernel::internal::GemmPortable as a Tensor op, for diffing the portable
-// micro-kernel on hosts where Gemm dispatches to AVX2.
-Tensor GemmPortable(const Tensor& a, bool trans_a, const Tensor& b,
-                    bool trans_b, int64_t m, int64_t n, int64_t k) {
-  Tensor c({m, n});
-  kernel::internal::GemmPortable(a.data(), a.cols(), trans_a, b.data(),
-                                 b.cols(), trans_b, m, n, k, c.data());
-  return c;
-}
+// GEMM, TopK and the int8 scan (tests/quant_test.cc) run once per ISA level
+// (tests/isa_testlib.h), each against its reference.
+class GemmIsaTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, GemmIsaTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
 
-TEST(GemmTest, AllTransposeVariantsMatchNaiveBitsAtEveryWidth) {
-  // Both micro-kernels (Gemm dispatches to AVX2 on a CPU that has it;
-  // GemmPortable never does) against the reference. The sizes straddle the
+TEST_P(GemmIsaTest, AllTransposeVariantsMatchNaiveBitsAtEveryWidth) {
+  // The level's micro-kernel against the reference. The sizes straddle the
   // 4-row tile, the 16-column panel and the 32-row chunk, so every partial
   // tile, zero-padded panel tail and transposed store is hit; n = 101 splits
   // the corpus-row loop of queries x corpus^T into three full chunks and a
   // ragged one. k = 1 is the shortest chain and 128 the serving width.
-  SCOPED_TRACE(kernel::CpuHasAvx2() ? "Gemm runs the AVX2 micro-kernel"
-                                    : "no AVX2: both run the portable one");
   const int64_t ms[] = {1, 3, 4, 5, 16, 17, 33};
   const int64_t ns[] = {1, 15, 16, 17, 29, 101};
   const int64_t ks[] = {1, 47, 128};
@@ -232,13 +226,7 @@ TEST(GemmTest, AllTransposeVariantsMatchNaiveBitsAtEveryWidth) {
             ThreadGuard guard(width);
             ASSERT_TRUE(
                 SameBits(Gemm(*v.a, v.trans_a, *v.b, v.trans_b), reference))
-                << "dispatched m=" << m << " n=" << n << " k=" << k
-                << " trans_a=" << v.trans_a << " trans_b=" << v.trans_b
-                << " width=" << width;
-            ASSERT_TRUE(SameBits(
-                GemmPortable(*v.a, v.trans_a, *v.b, v.trans_b, m, n, k),
-                reference))
-                << "portable m=" << m << " n=" << n << " k=" << k
+                << "m=" << m << " n=" << n << " k=" << k
                 << " trans_a=" << v.trans_a << " trans_b=" << v.trans_b
                 << " width=" << width;
           }
@@ -352,43 +340,41 @@ std::vector<int64_t> TopKKs(int64_t n) {
   return ks;
 }
 
-/// The SSE2 selector, or the portable one reached through kernel::internal.
-kernel::TopK MakeTopK(bool portable, int64_t k) {
-  return portable ? kernel::internal::PortableTopK(k) : kernel::TopK(k);
-}
+/// The selector's cutoff test is the portable loop at Isa::kPortable and
+/// four SSE2 compares above it.
+class TopKTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, TopKTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
 
-TEST(TopKTest, IdArrayPushesMatchAFullSort) {
+TEST_P(TopKTest, IdArrayPushesMatchAFullSort) {
   // Every input is offered as two blocks split at each offset 0..17, so
   // the 16-score groups meet every alignment, and one selector per k is
   // reused across the splits, as a backend reuses it across queries.
   Rng rng(41);
-  for (const bool portable : {false, true}) {
-    for (const int64_t n : kTopKSizes) {
-      for (const bool ties : {true, false}) {
-        const std::vector<float> scores = TopKScores(n, ties, rng);
-        for (const IdOrder order : {IdOrder::kAscending, IdOrder::kDescending,
-                                    IdOrder::kShuffled}) {
-          const std::vector<int64_t> ids = TopKIds(n, 0, order, rng);
-          for (const bool skip_thirds : {false, true}) {
-            const auto skip = [](int64_t id) { return id % 3 == 0; };
-            for (const int64_t k : TopKKs(n)) {
-              const auto want = SortedTopK(scores, ids, k, skip_thirds);
-              kernel::TopK top = MakeTopK(portable, k);
-              for (int64_t split = 0; split <= 17; ++split) {
-                const int64_t s = std::min(split, n);
-                if (skip_thirds) {
-                  top.Push(scores.data(), ids.data(), s, skip);
-                  top.Push(scores.data() + s, ids.data() + s, n - s, skip);
-                } else {
-                  top.Push(scores.data(), ids.data(), s);
-                  top.Push(scores.data() + s, ids.data() + s, n - s);
-                }
-                ASSERT_TRUE(SameHits(want, top.Take()))
-                    << "portable " << portable << " n " << n << " ties "
-                    << ties << " order " << static_cast<int>(order)
-                    << " skip " << skip_thirds << " k " << k << " split "
-                    << split;
+  for (const int64_t n : kTopKSizes) {
+    for (const bool ties : {true, false}) {
+      const std::vector<float> scores = TopKScores(n, ties, rng);
+      for (const IdOrder order : {IdOrder::kAscending, IdOrder::kDescending,
+                                  IdOrder::kShuffled}) {
+        const std::vector<int64_t> ids = TopKIds(n, 0, order, rng);
+        for (const bool skip_thirds : {false, true}) {
+          const auto skip = [](int64_t id) { return id % 3 == 0; };
+          for (const int64_t k : TopKKs(n)) {
+            const auto want = SortedTopK(scores, ids, k, skip_thirds);
+            kernel::TopK top(k);
+            for (int64_t split = 0; split <= 17; ++split) {
+              const int64_t s = std::min(split, n);
+              if (skip_thirds) {
+                top.Push(scores.data(), ids.data(), s, skip);
+                top.Push(scores.data() + s, ids.data() + s, n - s, skip);
+              } else {
+                top.Push(scores.data(), ids.data(), s);
+                top.Push(scores.data() + s, ids.data() + s, n - s);
               }
+              ASSERT_TRUE(SameHits(want, top.Take()))
+                  << "n " << n << " ties " << ties << " order "
+                  << static_cast<int>(order) << " skip " << skip_thirds
+                  << " k " << k << " split " << split;
             }
           }
         }
@@ -397,57 +383,51 @@ TEST(TopKTest, IdArrayPushesMatchAFullSort) {
   }
 }
 
-TEST(TopKTest, BaseIdAndSingleRowPushesMatchAFullSort) {
+TEST_P(TopKTest, BaseIdAndSingleRowPushesMatchAFullSort) {
   constexpr int64_t kBase = 1000;
   Rng rng(43);
-  for (const bool portable : {false, true}) {
-    for (const int64_t n : kTopKSizes) {
-      for (const bool ties : {true, false}) {
-        const std::vector<float> scores = TopKScores(n, ties, rng);
-        const std::vector<int64_t> ascending =
-            TopKIds(n, kBase, IdOrder::kAscending, rng);
-        for (const int64_t k : TopKKs(n)) {
-          const std::string where = "portable " + std::to_string(portable) +
-                                    " n " + std::to_string(n) + " ties " +
-                                    std::to_string(ties) + " k " +
-                                    std::to_string(k);
-          kernel::TopK top = MakeTopK(portable, k);
-          const auto want = SortedTopK(scores, ascending, k, false);
-          for (int64_t split = 0; split <= 17; ++split) {
-            const int64_t s = std::min(split, n);
-            top.Push(scores.data(), s, kBase);
-            top.Push(scores.data() + s, n - s, kBase + s);
-            ASSERT_TRUE(SameHits(want, top.Take()))
-                << where << " split " << split;
+  for (const int64_t n : kTopKSizes) {
+    for (const bool ties : {true, false}) {
+      const std::vector<float> scores = TopKScores(n, ties, rng);
+      const std::vector<int64_t> ascending =
+          TopKIds(n, kBase, IdOrder::kAscending, rng);
+      for (const int64_t k : TopKKs(n)) {
+        const std::string where = "n " + std::to_string(n) + " ties " +
+                                  std::to_string(ties) + " k " +
+                                  std::to_string(k);
+        kernel::TopK top(k);
+        const auto want = SortedTopK(scores, ascending, k, false);
+        for (int64_t split = 0; split <= 17; ++split) {
+          const int64_t s = std::min(split, n);
+          top.Push(scores.data(), s, kBase);
+          top.Push(scores.data() + s, n - s, kBase + s);
+          ASSERT_TRUE(SameHits(want, top.Take()))
+              << where << " split " << split;
+        }
+        for (const IdOrder order : {IdOrder::kAscending,
+                                    IdOrder::kDescending,
+                                    IdOrder::kShuffled}) {
+          // Each id keeps its score whatever position it is pushed at.
+          for (const int64_t id : TopKIds(n, kBase, order, rng)) {
+            top.Push(scores[static_cast<size_t>(id - kBase)], id);
           }
-          for (const IdOrder order :
-               {IdOrder::kAscending, IdOrder::kDescending,
-                IdOrder::kShuffled}) {
-            // Each id keeps its score whatever position it is pushed at.
-            for (const int64_t id : TopKIds(n, kBase, order, rng)) {
-              top.Push(scores[static_cast<size_t>(id - kBase)], id);
-            }
-            ASSERT_TRUE(SameHits(want, top.Take()))
-                << where << " single-row order " << static_cast<int>(order);
-          }
+          ASSERT_TRUE(SameHits(want, top.Take()))
+              << where << " single-row order " << static_cast<int>(order);
         }
       }
     }
   }
 }
 
-TEST(TopKTest, NanScoresNeverEnter) {
+TEST_P(TopKTest, NanScoresNeverEnter) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::vector<float> scores(40, nan);
   scores[3] = 0.5f;
   scores[21] = -0.5f;
-  for (const bool portable : {false, true}) {
-    kernel::TopK top = MakeTopK(portable, 5);
-    top.Push(scores.data(), static_cast<int64_t>(scores.size()), 0);
-    top.Push(nan, 99);
-    EXPECT_TRUE(SameHits({{3, 0.5f}, {21, -0.5f}}, top.Take()))
-        << "portable " << portable;
-  }
+  kernel::TopK top(5);
+  top.Push(scores.data(), static_cast<int64_t>(scores.size()), 0);
+  top.Push(nan, 99);
+  EXPECT_TRUE(SameHits({{3, 0.5f}, {21, -0.5f}}, top.Take()));
 }
 
 TEST(TopKDeathTest, NonPositiveKIsRejected) {

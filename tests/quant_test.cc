@@ -1,7 +1,8 @@
 // The quantized-scoring suite (ctest label `quant`): ref-vs-fast diffing of
-// the int8 scan (AVX2 tile and portable loop) in the ggml test-backend-ops
-// style — every length around the vector width, misaligned starts,
-// adversarial code patterns, every query count — plus the row-quantizer's
+// the int8 scan at every ISA level (AVX-VNNI and AVX2 tiles, portable loop)
+// in the ggml test-backend-ops style — every length around the vector
+// widths, misaligned starts, adversarial code patterns, every query count —
+// plus the row-quantizer's
 // error-bound contract on hostile rows (denormal, max-magnitude, all-equal,
 // wildly mixed), the ADMQ on-disk format's corruption behaviour, and
 // end-to-end bit-identity of the quantized backend against the scalar
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "isa_testlib.h"
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
 #include "quant/int8_corpus.h"
@@ -39,7 +41,7 @@ class ThreadGuard {
   ~ThreadGuard() { kernel::SetNumThreads(1); }
 };
 
-// --- Int8 dot kernels: fast path diffed against the scalar reference -----
+// --- Int8 dot kernels: every ISA level diffed against the reference ------
 
 std::vector<int8_t> RandomCodes(int64_t n, Rng* rng) {
   std::vector<int8_t> v(static_cast<size_t>(n));
@@ -47,34 +49,38 @@ std::vector<int8_t> RandomCodes(int64_t n, Rng* rng) {
   return v;
 }
 
-/// The one-row, one-query case of both scans (the AVX2 tile where the CPU
-/// has it, and the portable loop) against the reference.
-void ExpectOneRowScansMatchRef(const int8_t* a, const int8_t* b, int64_t n) {
-  const int32_t expect = kernel::Int8DotRef(a, b, n);
-  int32_t fast = -1;
-  int32_t portable = -1;
-  kernel::Int8ScanRows(a, 1, n, b, &fast);
-  kernel::internal::Int8ScanRowsPortable(a, 1, n, b, 1, &portable);
-  EXPECT_EQ(fast, expect) << "n=" << n << " isa=" << kernel::Int8DotIsa();
-  EXPECT_EQ(portable, expect) << "n=" << n << " portable";
+/// The one-row, one-query scan at the fixture's level against the
+/// reference.
+void ExpectOneRowScanMatchesRef(const int8_t* a, const int8_t* b, int64_t n) {
+  int32_t got = -1;
+  kernel::Int8ScanRows(a, 1, n, b, &got);
+  EXPECT_EQ(got, kernel::Int8DotRef(a, b, n))
+      << "n=" << n << " isa=" << kernel::Int8DotIsa();
 }
 
-TEST(Int8DotTest, MatchesReferenceAcrossLengths) {
-  // Every length through a few vector widths (the AVX2 tile consumes 16
-  // codes per step, so 0..67 covers empty, sub-width, exact-width and
-  // tail-remainder shapes), plus wider power-of-two and off-by-one sizes.
+/// The int8 scan once per ISA level (tests/isa_testlib.h): the portable
+/// loop, the AVX2 tile (16-code steps) and the AVX-VNNI tile (32-code
+/// steps, wrapping offset correction).
+class Int8DotTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, Int8DotTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(Int8DotTest, MatchesReferenceAcrossLengths) {
+  // Every length through a few steps of both vector tiles (16 and 32 codes
+  // each), so 0..131 covers empty, sub-step, exact-step and every tail
+  // length of either, plus wider power-of-two and off-by-one sizes.
   Rng rng(101);
   std::vector<int64_t> lengths;
-  for (int64_t n = 0; n <= 67; ++n) lengths.push_back(n);
-  for (int64_t n : {96, 127, 128, 129, 255, 256, 1000}) lengths.push_back(n);
+  for (int64_t n = 0; n <= 131; ++n) lengths.push_back(n);
+  for (int64_t n : {255, 256, 1000}) lengths.push_back(n);
   for (int64_t n : lengths) {
     const std::vector<int8_t> a = RandomCodes(n, &rng);
     const std::vector<int8_t> b = RandomCodes(n, &rng);
-    ExpectOneRowScansMatchRef(a.data(), b.data(), n);
+    ExpectOneRowScanMatchesRef(a.data(), b.data(), n);
   }
 }
 
-TEST(Int8DotTest, MatchesReferenceOnMisalignedStarts) {
+TEST_P(Int8DotTest, MatchesReferenceOnMisalignedStarts) {
   // The kernel takes raw pointers, so it must be correct (and bit-equal)
   // from any byte offset, not just 32-byte-aligned ones.
   Rng rng(103);
@@ -85,16 +91,18 @@ TEST(Int8DotTest, MatchesReferenceOnMisalignedStarts) {
     for (int64_t off_b : {0, 3, 17}) {
       SCOPED_TRACE(::testing::Message()
                    << "offsets " << off_a << ", " << off_b);
-      ExpectOneRowScansMatchRef(a.data() + off_a, b.data() + off_b, n);
+      ExpectOneRowScanMatchesRef(a.data() + off_a, b.data() + off_b, n);
     }
   }
 }
 
-TEST(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
+TEST_P(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
   // Saturated codes at the maximum supported length drive the accumulator
   // to its extremes: +-127 * +-127 * 131072 stays inside int32 by the
-  // kInt8DotMaxElems contract, and the madd_epi16 pairing in the AVX2
-  // tile must not wrap intermediate i16 sums.
+  // kInt8DotMaxElems contract, the madd_epi16 pairing in the AVX2 tile
+  // must not wrap intermediate i16 sums, and the AVX-VNNI tile's offset
+  // must come out exact although its unsigned sums alone reach (127 + 128)
+  // * 127 * 131072 ~= 4.2e9 for all-max rows.
   const int64_t n = kernel::kInt8DotMaxElems;
   std::vector<int8_t> all_max(static_cast<size_t>(n), int8_t{127});
   std::vector<int8_t> all_min(static_cast<size_t>(n), int8_t{-127});
@@ -107,7 +115,7 @@ TEST(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
                                            &zeros};
   for (const auto* a : patterns) {
     for (const auto* b : patterns) {
-      ExpectOneRowScansMatchRef(a->data(), b->data(), n);
+      ExpectOneRowScanMatchesRef(a->data(), b->data(), n);
     }
   }
   // The same 16 pairs from one 4-row x 4-query scan: the full-width tile
@@ -126,17 +134,36 @@ TEST(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
           << "row " << r << " query " << q;
     }
   }
+  // The quantizer never emits -128, but the scan takes any int8. A query
+  // of -128s makes 128 * sum(q) exactly -2^31, so each AVX-VNNI lane 0
+  // starts at INT32_MIN and must wrap, not saturate, as the products
+  // (c + 128) * -128 <= 0 arrive. Every dot still fits in int32:
+  // |127 * 128 * n| < 2^31.
+  const std::vector<int8_t> all_neg128(static_cast<size_t>(n), int8_t{-128});
+  std::vector<int32_t> neg_dots(4, -1);
+  kernel::Int8ScanRows(stacked.data(), 4, n, all_neg128.data(), 1,
+                       neg_dots.data());
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(neg_dots[static_cast<size_t>(r)],
+              kernel::Int8DotRef(patterns[r]->data(), all_neg128.data(), n))
+        << "row " << r << " against a query of -128s";
+  }
   // Spot-check one closed form: 127 * 127 * n.
   EXPECT_EQ(kernel::Int8DotRef(all_max.data(), all_max.data(), n),
             static_cast<int32_t>(127 * 127 * n));
 }
 
-TEST(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
+class Int8ScanRowsTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, Int8ScanRowsTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
   // Row counts around the tile heights (8 / queries) and past one parallel
-  // chunk; dims around the 16-code step; every query count.
+  // chunk; dims around the 16- and 32-code steps; every query count.
   Rng rng(107);
   for (int64_t rows : {1, 2, 3, 5, 97, 600}) {
-    for (int64_t dim : {1, 15, 16, 17, 31, 60, 128, 131}) {
+    for (int64_t dim :
+         {1, 15, 16, 17, 31, 32, 33, 60, 63, 64, 65, 96, 128, 131}) {
       const std::vector<int8_t> codes = RandomCodes(rows * dim, &rng);
       const std::vector<int8_t> queries =
           RandomCodes(kernel::kInt8ScanMaxQueries * dim, &rng);
@@ -150,18 +177,12 @@ TEST(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
         }
         for (int threads : {1, 2, 4, 8}) {
           ThreadGuard guard(threads);
-          std::vector<int32_t> fast(expect.size(), -1);
-          std::vector<int32_t> portable(expect.size(), -1);
+          std::vector<int32_t> got(expect.size(), -1);
           kernel::Int8ScanRows(codes.data(), rows, dim, queries.data(), nq,
-                               fast.data());
-          kernel::internal::Int8ScanRowsPortable(
-              codes.data(), rows, dim, queries.data(), nq, portable.data());
-          EXPECT_EQ(fast, expect)
+                               got.data());
+          EXPECT_EQ(got, expect)
               << "rows=" << rows << " dim=" << dim << " queries=" << nq
               << " threads=" << threads << " isa=" << kernel::Int8DotIsa();
-          EXPECT_EQ(portable, expect)
-              << "rows=" << rows << " dim=" << dim << " queries=" << nq
-              << " threads=" << threads << " portable";
         }
       }
     }
@@ -411,7 +432,13 @@ void ExpectQuantizedMatchesScalar(const Tensor& items, const Tensor& queries,
   }
 }
 
-TEST(QuantizedBackendTest, BitIdenticalToScalarOnHostileCorpus) {
+/// The backend at every ISA level: its scan tile and its bounds loop
+/// (SSE2 below Isa::kAvx2, AVX2 from there) both change with the level.
+class QuantizedBackendIsaTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, QuantizedBackendIsaTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(QuantizedBackendIsaTest, BitIdenticalToScalarOnHostileCorpus) {
   {
     SCOPED_TRACE("mixed magnitude 60 x 16");
     ExpectQuantizedMatchesScalar(MixedMagnitudeUnitRows(60, 16, 131),
@@ -425,8 +452,8 @@ TEST(QuantizedBackendTest, BitIdenticalToScalarOnHostileCorpus) {
     queries.At(1, 0) = -1.0f;
     ExpectQuantizedMatchesScalar(WideIntervalRows(16), queries, {1, 2, 22});
   }
-  // The serving shape: several 16-code steps and a tail at dim 131, several
-  // row blocks and an odd last row, k past the corpus size, and query
+  // The serving shape: several 16- and 32-code steps and a tail at dim 131,
+  // several row blocks and an odd last row, k past the corpus size, and query
   // blocks of every width: the batch and the pool width set it, so batch 7
   // runs blocks of 4 and 3 on one thread and of 2 and 1 on four.
   const int64_t rows = 1501;
