@@ -1,6 +1,6 @@
 // Microbenchmarks of the substrate kernels (google-benchmark): GEMM, the
-// int8 scan, top-k selection, LSTM encoding, the batch triplet losses,
-// retrieval ranking, and word2vec.
+// int8 scan, a quantized backend call, top-k selection, LSTM encoding, the
+// batch triplet losses, retrieval ranking, and word2vec.
 // These are the building blocks whose cost dominates training and
 // evaluation; sizes mirror the defaults used by the table benches.
 //
@@ -11,8 +11,9 @@
 // sweep is a pure scaling measurement. GEMM and the int8 scan carry a third,
 // the kernel::Isa level they are capped at (0 portable, 1 avx2, 2
 // avx2_vnni), so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread, AVX-VNNI";
-// a level the CPU lacks is skipped, its row naming the missing level. The
-// level changes no bits either, so
+// a level the CPU lacks is skipped, its row naming the missing level.
+// BM_QuantizedScore takes the level as its only argument. The level changes
+// no bits either, so
 //
 //   build/bench/bench_kernels --benchmark_filter='BM_Int8Scan/.*/1/'
 //
@@ -35,6 +36,8 @@
 #include "kernel/topk.h"
 #include "nn/embedding.h"
 #include "nn/lstm.h"
+#include "quant/quantized_backend.h"
+#include "serve/backend.h"
 #include "tensor/ops.h"
 #include "text/word2vec.h"
 #include "util/rng.h"
@@ -128,33 +131,67 @@ void BM_Int8Scan(benchmark::State& state) {
 }
 BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}, {0, 1, 2}});
 
+/// `rows` L2-normalised image features of the recipe generator (192 Zipf
+/// classes, d = 128), so the rows cluster as in the serving benchmark.
+Tensor ImageFeatureRows(int64_t rows, uint64_t seed) {
+  constexpr int64_t kDim = 128;
+  data::GeneratorConfig config;
+  config.num_recipes = rows;
+  config.num_classes = 192;
+  config.image_dim = kDim;
+  config.seed = seed;
+  const data::Dataset dataset =
+      data::RecipeGenerator::Create(config).value().Generate();
+  Tensor out({rows, kDim});
+  for (int64_t i = 0; i < rows; ++i) {
+    const Tensor& image = dataset.recipes[static_cast<size_t>(i)].image;
+    std::copy(image.data(), image.data() + kDim, out.data() + i * kDim);
+  }
+  return L2NormalizeRows(out);
+}
+
+/// One quantized backend call of 32 query rows at the bulk-quantized shape:
+/// 10,000 x 128 image-feature rows, k = 10, rerank_factor 4, one pool
+/// thread. The argument is the kernel::Isa level the call is capped at
+/// (0 portable, 1 avx2, 2 avx2_vnni), which changes no bits, so
+///
+///   build/bench/bench_kernels --benchmark_filter='BM_QuantizedScore/'
+///
+/// prints DESIGN.md's per-level call times. Items/s counts queries.
+void BM_QuantizedScore(benchmark::State& state) {
+  constexpr int64_t kRows = 10000;
+  constexpr int64_t kQueries = 32;
+  ThreadGuard guard(1);
+  IsaGuard isa(state, state.range(0));
+  if (isa.skipped()) return;
+  const Tensor rows = ImageFeatureRows(kRows + kQueries, 12);
+  serve::BackendConfig config;
+  config.items = SliceRows(rows, 0, kRows);
+  config.rerank_factor = 4;
+  const auto backend = quant::CreateQuantizedBackend(config).value();
+  const serve::QueryBatch batch{SliceRows(rows, kRows, kRows + kQueries)};
+  for (auto _ : state) {
+    auto result =
+        backend->ScoreTopK(batch, nullptr, 10, serve::QueryOptions());
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * kQueries);
+}
+BENCHMARK(BM_QuantizedScore)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
 /// Top-10 selection from a query block's [m, n] score matrix, at the two
 /// serving shapes: an rpc-fanout shard dispatch (32 queries x 3,000 rows)
-/// and an ingest-live batch (16 x 2,000). Scores come from the recipe
-/// generator's image features (192 Zipf classes, d = 128), so the rows
-/// cluster as in the serving benchmark. The third argument picks the
-/// selector: 0 ranks each query with a std::partial_sort of an index
-/// vector, as the scalar oracle does, and 1 with kernel::TopK. Items/s
-/// counts scores ranked.
+/// and an ingest-live batch (16 x 2,000). Scores come from
+/// ImageFeatureRows. The third argument picks the selector: 0 ranks each
+/// query with a std::partial_sort of an index vector, as the scalar oracle
+/// does, and 1 with kernel::TopK. Items/s counts scores ranked.
 void BM_TopK(benchmark::State& state) {
   const int64_t m = state.range(0);
   const int64_t n = state.range(1);
   const bool use_topk = state.range(2) == 1;
   constexpr int64_t kTopK = 10;
   constexpr int64_t kDim = 128;
-  data::GeneratorConfig config;
-  config.num_recipes = m + n;
-  config.num_classes = 192;
-  config.image_dim = kDim;
-  config.seed = 11;
-  const data::Dataset dataset =
-      data::RecipeGenerator::Create(config).value().Generate();
-  Tensor rows({m + n, kDim});
-  for (int64_t i = 0; i < m + n; ++i) {
-    const Tensor& image = dataset.recipes[static_cast<size_t>(i)].image;
-    std::copy(image.data(), image.data() + kDim, rows.data() + i * kDim);
-  }
-  rows = L2NormalizeRows(rows);
+  const Tensor rows = ImageFeatureRows(m + n, 11);
   std::vector<float> sims(static_cast<size_t>(m * n));
   kernel::Gemm(rows.data() + n * kDim, kDim, false, rows.data(), kDim, true,
                m, n, kDim, sims.data());

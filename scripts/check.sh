@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One-command verification: plain tier-1 build + full test suite + the
+# One-command verification: plain tier-1 build, a guard against FMA
+# instructions in the library, the full test suite and the
 # registry-driven golden-diff harness, then the same golden harness (plus the
 # focused concurrency suites) under ThreadSanitizer, and the whole suite
 # under AddressSanitizer (leak check included) and UndefinedBehaviorSanitizer.
@@ -19,6 +20,21 @@ fi
 echo "== tier-1: configure + build =="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
+
+# Every kernel's bit-identity rests on each float mul and add rounding on
+# its own, so no fused multiply-add may reach the library: not from a
+# "fma" target, not from contraction. Fail on any in the disassembly.
+echo "== tier-1: no FMA instruction in build/src/libadamine.a =="
+fma_pattern=$'\tvfn?m(add|sub)'
+fma_count=$(objdump -d build/src/libadamine.a | grep -cE "$fma_pattern" || true)
+if [[ "$fma_count" != "0" ]]; then
+  echo "check.sh: $fma_count FMA instructions in build/src/libadamine.a," \
+       "in these functions:" >&2
+  objdump -d build/src/libadamine.a |
+    awk -v fma="$fma_pattern" \
+      '/^[0-9a-f]+ </ { fn = $2 } $0 ~ fma { print fn }' | sort -u >&2
+  exit 1
+fi
 
 echo "== tier-1: full test suite =="
 ctest --test-dir build --output-on-failure -j "$(nproc)"

@@ -52,8 +52,8 @@ Isa CpuIsa();
 
 /// The level every kernel dispatches on, read at each call: CpuIsa(),
 /// unless a test caps it (internal::ScopedIsa). Gemm and the quantized
-/// backend's score bounds use AVX2 from kAvx2 up, Int8ScanRows has a tile
-/// per level, and TopK's cutoff test is SSE2 above kPortable.
+/// backend's selection pass use AVX2 from kAvx2 up, Int8ScanRows has a
+/// tile per level, and TopK's cutoff test is SSE2 above kPortable.
 Isa ActiveIsa();
 
 /// Number of fixed-size chunks `ParallelFor` splits [0, n) into. Depends

@@ -54,6 +54,22 @@ float DotAscending(const float* a, const float* b, int64_t n) {
   return acc;
 }
 
+void DotAscendingRows(const float* rows, const int64_t* ids, int count,
+                      const float* b, int64_t n, float* out) {
+  // Lanes past count rescore the first row, so the pass is always eight
+  // wide; their sums are dropped.
+  const float* row[kDotRows];
+  for (int i = 0; i < kDotRows; ++i) {
+    row[i] = rows + ids[i < count ? i : 0] * n;
+  }
+  float acc[kDotRows] = {};
+  for (int64_t j = 0; j < n; ++j) {
+    const float bj = b[j];
+    for (int i = 0; i < kDotRows; ++i) acc[i] += row[i][j] * bj;
+  }
+  for (int i = 0; i < count; ++i) out[i] = acc[i];
+}
+
 double ParallelPairwiseSum(const float* p, int64_t n) {
   return ParallelReduceOrdered<double>(
       n, kReduceGrain, 0.0,

@@ -28,6 +28,18 @@ double PairwiseDot(const float* a, const float* b, int64_t n);
 /// callers get the un-fused chain whatever their own compile flags.
 float DotAscending(const float* a, const float* b, int64_t n);
 
+/// Rows one DotAscendingRows call scores.
+inline constexpr int kDotRows = 8;
+
+/// out[i] = DotAscending(rows + ids[i] * n, b, n) for i in [0, count),
+/// 1 <= count <= kDotRows: one pass over j runs the rows' chains side by
+/// side, eight independent float chains where DotAscending runs one, so the
+/// adds overlap instead of waiting on each other. Each chain is still the
+/// ascending mul-then-add of DotAscending, so every output has its bits.
+/// Ids may repeat and come in any order.
+void DotAscendingRows(const float* rows, const int64_t* ids, int count,
+                      const float* b, int64_t n, float* out);
+
 /// Chunk width used when a whole-tensor reduction is split across the pool;
 /// each chunk is itself reduced pairwise, and the per-chunk partials are
 /// folded in ascending chunk order.

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -165,6 +167,39 @@ TEST(ParallelReduceTest, PairwiseDotBaseCaseIsLeftFold) {
     fold += static_cast<double>(a.data()[i]) * static_cast<double>(b.data()[i]);
   }
   EXPECT_EQ(kernel::PairwiseDot(a.data(), b.data(), 64), fold);
+}
+
+TEST(DotAscendingRowsTest, EveryOutputHasDotAscendingBits) {
+  // Coordinates spread over six orders of magnitude, so a chain summed in
+  // any other order (two partial sums per row, say) rounds differently.
+  Rng rng(29);
+  constexpr int64_t kRows = 13;
+  for (int64_t d : {0, 1, 7, 8, 128, 131}) {
+    std::vector<float> rows(static_cast<size_t>(kRows * d));
+    std::vector<float> query(static_cast<size_t>(d));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = static_cast<float>(rng.Normal(0.0, 1.0) *
+                                   std::pow(10.0, static_cast<int>(i % 6) - 3));
+    }
+    for (float& v : query) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    // Repeated and out-of-order ids, the first count of them per call.
+    for (const std::vector<int64_t>& ids :
+         {std::vector<int64_t>{5, 0, 12, 5, 3, 3, 11, 1},
+          std::vector<int64_t>{12, 11, 10, 9, 8, 7, 6, 6}}) {
+      for (int count = 1; count <= kernel::kDotRows; ++count) {
+        float got[kernel::kDotRows];
+        kernel::DotAscendingRows(rows.data(), ids.data(), count, query.data(),
+                                 d, got);
+        for (int i = 0; i < count; ++i) {
+          const float want = kernel::DotAscending(
+              rows.data() + ids[static_cast<size_t>(i)] * d, query.data(), d);
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
+                    std::bit_cast<uint32_t>(want))
+              << "d=" << d << " count=" << count << " lane=" << i;
+        }
+      }
+    }
+  }
 }
 
 // Naive triple-loop reference with float accumulation in ascending k order —

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
 #include "quant/int8_corpus.h"
+#include "quant/quantized_backend.h"
 #include "serve/backend.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -391,6 +394,164 @@ Tensor WideIntervalRows(int64_t dim) {
   return out;
 }
 
+// --- The selection stage against a full pass over every row --------------
+
+/// Each row of `base` `copies` times, copy c of row i at row
+/// c * base.rows() + i, so equal score intervals recur across the 256-row
+/// steps and straddle any cutoff one of them sets.
+Tensor DuplicatedRows(const Tensor& base, int64_t copies) {
+  const int64_t rows = base.rows();
+  const int64_t dim = base.cols();
+  Tensor out({rows * copies, dim});
+  for (int64_t c = 0; c < copies; ++c) {
+    std::copy(base.data(), base.data() + rows * dim,
+              out.data() + c * rows * dim);
+  }
+  return out;
+}
+
+/// The selection a full pass over every row makes, written independently of
+/// the backend: the query's symmetric int8 quantization, every row's score
+/// interval by the scalar expression, the take-th best lower and the m-th
+/// best upper bound by std::nth_element, and every row whose upper bound
+/// reaches the smaller of the two. This file is compiled with
+/// -ffp-contract=off, like the backend, so the expression rounds each
+/// product and sum on its own.
+quant::internal::Candidates FullPassSelection(
+    const quant::QuantizedCorpus& corpus, const float* query, int64_t take,
+    int64_t m) {
+  const int64_t d = corpus.dim;
+  const int64_t n = corpus.rows;
+  double sum_q = 0.0;
+  double sum_abs_q = 0.0;
+  double qmax = 0.0;
+  for (int64_t j = 0; j < d; ++j) {
+    sum_q += query[j];
+    sum_abs_q += std::fabs(static_cast<double>(query[j]));
+    qmax = std::max(qmax, std::fabs(static_cast<double>(query[j])));
+  }
+  const double q_scale = qmax / 127.0;
+  std::vector<int8_t> codes(static_cast<size_t>(d));
+  double max_err = 0.0;
+  for (int64_t j = 0; j < d; ++j) {
+    const double c =
+        q_scale > 0.0
+            ? std::clamp(std::nearbyint(query[j] / q_scale), -127.0, 127.0)
+            : 0.0;
+    codes[static_cast<size_t>(j)] = static_cast<int8_t>(c);
+    max_err = std::max(max_err, std::fabs(query[j] - q_scale * c));
+  }
+  const double du = static_cast<double>(d + 2) * std::ldexp(1.0, -24);
+  const double chain_gamma = du / (1.0 - du);
+  const double chain_abs =
+      static_cast<double>(d) *
+      static_cast<double>(std::numeric_limits<float>::min());
+  std::vector<double> lower(static_cast<size_t>(n));
+  std::vector<double> upper(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const int32_t dot =
+        kernel::Int8DotRef(corpus.codes.data() + r * d, codes.data(), d);
+    const double scale = corpus.scales[i];
+    const double approx = q_scale * scale * dot +
+                          static_cast<double>(corpus.biases[i]) * sum_q;
+    double err = scale * max_err * corpus.sum_abs_codes[i] +
+                 sum_abs_q * corpus.recon_errors[i] +
+                 chain_gamma * corpus.max_abs[i] * sum_abs_q + chain_abs;
+    err = err * (1.0 + 1e-9) + 1e-9 * std::fabs(approx);
+    lower[i] = approx - err;
+    upper[i] = approx + err;
+  }
+  const auto kth_largest = [](std::vector<double> values, int64_t k) {
+    std::nth_element(values.begin(), values.begin() + (k - 1), values.end(),
+                     std::greater<double>());
+    return values[static_cast<size_t>(k - 1)];
+  };
+  quant::internal::Candidates out;
+  out.cutoff = std::min(kth_largest(lower, take), kth_largest(upper, m));
+  for (int64_t r = 0; r < n; ++r) {
+    if (upper[static_cast<size_t>(r)] >= out.cutoff) out.rows.push_back(r);
+  }
+  return out;
+}
+
+/// Diffs quant::internal::SelectCandidates, the backend's own selection
+/// stage, against FullPassSelection for blocks of 1-4 queries at every
+/// k x rerank_factor pair: the cutoff's bits and the candidate rows.
+void ExpectSelectionMatchesFullPass(const Tensor& items,
+                                    const Tensor& queries) {
+  ASSERT_GE(queries.rows(), 4);
+  auto corpus = quant::QuantizeRows(items);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const int64_t n = corpus->rows;
+  const int64_t d = corpus->dim;
+  for (int64_t k : {1, 2, 3, 7, 8, 15, 16, 63, 64}) {
+    for (int64_t rerank_factor : {1, 3, 4, 64}) {
+      // The backend's take and m.
+      const int64_t take = std::min(k, n);
+      const int64_t m = std::min(n, rerank_factor * take);
+      for (int nq = 1; nq <= 4; ++nq) {
+        const std::vector<quant::internal::Candidates> got =
+            quant::internal::SelectCandidates(*corpus, queries.data(), nq,
+                                              take, m);
+        ASSERT_EQ(got.size(), static_cast<size_t>(nq));
+        for (int q = 0; q < nq; ++q) {
+          const quant::internal::Candidates want =
+              FullPassSelection(*corpus, queries.data() + q * d, take, m);
+          const quant::internal::Candidates& have =
+              got[static_cast<size_t>(q)];
+          EXPECT_EQ(std::bit_cast<uint64_t>(have.cutoff),
+                    std::bit_cast<uint64_t>(want.cutoff))
+              << "k=" << k << " rerank=" << rerank_factor << " nq=" << nq
+              << " query " << q << ": " << have.cutoff << " vs "
+              << want.cutoff;
+          EXPECT_EQ(have.rows, want.rows)
+              << "k=" << k << " rerank=" << rerank_factor << " nq=" << nq
+              << " query " << q;
+        }
+      }
+    }
+  }
+}
+
+/// The selection pass at every ISA level: four rows per AVX2 vector from
+/// Isa::kAvx2 up, two per SSE2 vector below, one at a time past a step's
+/// last full group.
+class QuantizedSelectionIsaTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, QuantizedSelectionIsaTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(QuantizedSelectionIsaTest, CutoffBitsAndCandidatesMatchAFullPass) {
+  // Row counts that are multiples of neither 4 nor 256: every tail length
+  // of a row group, and a last 256-row step that is short.
+  for (int64_t rows : {5, 255, 517}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "mixed magnitude " << rows << " x 16");
+    ExpectSelectionMatchesFullPass(MixedMagnitudeUnitRows(rows, 16, 131),
+                                   MixedMagnitudeUnitRows(4, 16, 137));
+  }
+  {
+    SCOPED_TRACE("wide intervals 21 x 16");
+    Tensor queries = MixedMagnitudeUnitRows(4, 16, 139);
+    for (int64_t j = 0; j < 16; ++j) {
+      queries.At(0, j) = j == 0 ? 1.0f : 0.0f;
+      queries.At(1, j) = j == 0 ? -1.0f : 0.0f;
+    }
+    ExpectSelectionMatchesFullPass(WideIntervalRows(16), queries);
+  }
+  for (int64_t dim : {128, 131}) {
+    SCOPED_TRACE(::testing::Message() << "clustered 1029 x " << dim);
+    ExpectSelectionMatchesFullPass(ClusteredUnitRows(1029, dim, 149),
+                                   ClusteredUnitRows(4, dim, 151));
+  }
+  {
+    SCOPED_TRACE("clustered 206 x 128, five copies of each row");
+    ExpectSelectionMatchesFullPass(
+        DuplicatedRows(ClusteredUnitRows(206, 128, 157), 5),
+        ClusteredUnitRows(4, 128, 151));
+  }
+}
+
 /// Diffs the quantized backend against the scalar reference, ids and score
 /// bits, for every k x rerank_factor {1, 4, 64} x threads {1, 4}.
 void ExpectQuantizedMatchesScalar(const Tensor& items, const Tensor& queries,
@@ -432,7 +593,7 @@ void ExpectQuantizedMatchesScalar(const Tensor& items, const Tensor& queries,
   }
 }
 
-/// The backend at every ISA level: its scan tile and its bounds loop
+/// The backend at every ISA level: its scan tile and its selection pass
 /// (SSE2 below Isa::kAvx2, AVX2 from there) both change with the level.
 class QuantizedBackendIsaTest : public IsaLevelTest {};
 INSTANTIATE_TEST_SUITE_P(AllLevels, QuantizedBackendIsaTest,
