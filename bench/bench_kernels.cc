@@ -171,8 +171,7 @@ void BM_QuantizedScore(benchmark::State& state) {
   const auto backend = quant::CreateQuantizedBackend(config).value();
   const serve::QueryBatch batch{SliceRows(rows, kRows, kRows + kQueries)};
   for (auto _ : state) {
-    auto result =
-        backend->ScoreTopK(batch, nullptr, 10, serve::QueryOptions());
+    auto result = backend->ScoreTopK(batch, 10, serve::QueryOptions());
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * kQueries);

@@ -9,8 +9,10 @@
 #include <cstdio>
 
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
+#include "serve/retrieval_service.h"
 
 namespace adamine {
 namespace {
@@ -20,6 +22,7 @@ namespace core = adamine::core;
 struct ModelRun {
   std::string name;
   core::Pipeline::RunResult run;
+  std::unique_ptr<serve::RetrievalService> images;  // Test image index.
 };
 
 int Run() {
@@ -41,7 +44,14 @@ int Run() {
       std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
       return 1;
     }
-    models.push_back({core::ScenarioName(scenario), std::move(*run)});
+    auto images = serve::RetrievalService::Create(
+        run->test_embeddings.image_emb, serve::ServeConfig());
+    if (!images.ok()) {
+      std::fprintf(stderr, "%s\n", images.status().ToString().c_str());
+      return 1;
+    }
+    models.push_back({core::ScenarioName(scenario), std::move(*run),
+                      std::move(images).value()});
   }
 
   const auto& test_recipes = pipe.splits().test.recipes;
@@ -65,13 +75,12 @@ int Run() {
     for (const auto& ing : recipe.ingredients) std::printf(" %s", ing.c_str());
     std::printf("\n");
     for (const ModelRun& model : models) {
-      core::RetrievalIndex index(model.run.test_embeddings.image_emb);
       Tensor query_emb({model.run.test_embeddings.recipe_emb.cols()});
       const float* src = model.run.test_embeddings.recipe_emb.data() +
                          q * query_emb.numel();
       std::copy(src, src + query_emb.numel(), query_emb.data());
       std::printf("  %-12s top-5:", model.name.c_str());
-      for (int64_t idx : index.Query(query_emb, 5)) {
+      for (int64_t idx : model.images->Query(query_emb, 5)) {
         const auto& hit = test_recipes[static_cast<size_t>(idx)];
         const char* marker =
             idx == q ? "[MATCH]"

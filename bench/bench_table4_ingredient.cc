@@ -13,6 +13,7 @@
 
 #include "bench_common.h"
 #include "core/downstream.h"
+#include "serve/retrieval_service.h"
 #include "tensor/ops.h"
 
 namespace adamine {
@@ -47,7 +48,12 @@ int Run() {
   }
   std::printf("(%zu pizza images in the candidate pool)\n\n",
               pizza_rows.size());
-  core::RetrievalIndex index(GatherRows(emb.image_emb, pizza_rows));
+  auto index = serve::RetrievalService::Create(
+      GatherRows(emb.image_emb, pizza_rows), serve::ServeConfig());
+  if (!index.ok()) {
+    std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
+    return 1;
+  }
   Tensor mean_instr =
       core::MeanInstructionFeature(*run->model, pipe.train_set());
 
@@ -61,7 +67,7 @@ int Run() {
                                               ingredient, mean_instr);
     const int64_t gid = inventory.IngredientId(ingredient);
     int64_t hits = 0;
-    for (int64_t idx : index.Query(query, kTopK)) {
+    for (int64_t idx : (*index)->Query(query, kTopK)) {
       const int64_t row = pizza_rows[static_cast<size_t>(idx)];
       if (test_recipes[static_cast<size_t>(row)].HasIngredient(gid)) ++hits;
     }

@@ -13,6 +13,7 @@
 
 #include "bench_common.h"
 #include "core/downstream.h"
+#include "serve/retrieval_service.h"
 
 namespace adamine {
 namespace {
@@ -37,7 +38,12 @@ int Run() {
   const data::Inventory& inventory = pipe.generator().inventory();
   const int64_t broccoli = inventory.IngredientId("broccoli");
   const auto& test_recipes = pipe.splits().test.recipes;
-  core::RetrievalIndex index(run->test_embeddings.image_emb);
+  auto index = serve::RetrievalService::Create(run->test_embeddings.image_emb,
+                                              serve::ServeConfig());
+  if (!index.ok()) {
+    std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
+    return 1;
+  }
 
   constexpr int64_t kTopK = 4;
   auto presence_rate = [&](const data::Recipe& recipe) {
@@ -45,7 +51,7 @@ int Run() {
     Tensor emb = run->model->EmbedRecipes({&encoded}).value();
     emb = emb.Reshape({emb.numel()});
     int64_t with = 0;
-    for (int64_t idx : index.Query(emb, kTopK)) {
+    for (int64_t idx : (*index)->Query(emb, kTopK)) {
       if (test_recipes[static_cast<size_t>(idx)].HasIngredient(broccoli)) {
         ++with;
       }

@@ -14,12 +14,14 @@
 #include "core/downstream.h"
 #include "tensor/ops.h"
 #include "core/pipeline.h"
+#include "serve/retrieval_service.h"
 
 namespace {
 
 using adamine::Tensor;
 namespace core = adamine::core;
 namespace data = adamine::data;
+namespace serve = adamine::serve;
 
 core::PipelineConfig Config() {
   core::PipelineConfig config;
@@ -68,7 +70,11 @@ int main() {
   std::printf("candidate pool: %zu pizza images in the test set\n",
               pizza_rows.size());
   Tensor pizza_emb = adamine::GatherRows(emb.image_emb, pizza_rows);
-  core::RetrievalIndex index(pizza_emb);
+  auto index = serve::RetrievalService::Create(pizza_emb, serve::ServeConfig());
+  if (!index.ok()) {
+    std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
+    return 1;
+  }
 
   Tensor mean_instr =
       core::MeanInstructionFeature(*run->model, pipe.train_set());
@@ -79,7 +85,7 @@ int main() {
        {"mushrooms", "pineapple", "olives", "pepperoni", "strawberries"}) {
     Tensor query = core::EmbedIngredientQuery(*run->model, pipe.vocab(),
                                               ingredient, mean_instr);
-    auto top = index.Query(query, top_k);
+    auto top = (*index)->Query(query, top_k);
     const int64_t gid = inventory.IngredientId(ingredient);
     int64_t hits = 0;
     int64_t base = 0;

@@ -9,6 +9,7 @@
 
 #include "core/pipeline.h"
 #include "eval/metrics.h"
+#include "serve/retrieval_service.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -97,11 +98,17 @@ int main() {
               result.recipe_to_image.r_at_10.mean);
 
   std::printf("[4/4] one query of each direction...\n");
-  adamine::core::RetrievalIndex recipe_index(emb.recipe_emb);
+  auto recipe_index = adamine::serve::RetrievalService::Create(
+      emb.recipe_emb, adamine::serve::ServeConfig());
+  if (!recipe_index.ok()) {
+    std::fprintf(stderr, "serving error: %s\n",
+                 recipe_index.status().ToString().c_str());
+    return 1;
+  }
   Tensor query_img({emb.image_emb.cols()});
   std::copy(emb.image_emb.data(), emb.image_emb.data() + query_img.numel(),
             query_img.data());
-  auto top = recipe_index.Query(query_img, 3);
+  auto top = (*recipe_index)->Query(query_img, 3);
   const auto& test_recipes = pipe.splits().test.recipes;
   std::printf("      image of '%s' -> recipes:",
               test_recipes[0].class_name.c_str());

@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "serve/retrieval_service.h"
 #include "text/tokenizer.h"
 
 namespace {
 
 namespace core = adamine::core;
 namespace data = adamine::data;
+namespace serve = adamine::serve;
 namespace text = adamine::text;
 using adamine::Tensor;
 
@@ -78,10 +80,15 @@ int main(int argc, char** argv) {
   query_emb = query_emb.Reshape({query_emb.numel()});
 
   // Retrieve the nearest dishes by their *image* embeddings (cross-modal).
-  core::RetrievalIndex index(run->test_embeddings.image_emb);
+  auto index = serve::RetrievalService::Create(run->test_embeddings.image_emb,
+                                              serve::ServeConfig());
+  if (!index.ok()) {
+    std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
+    return 1;
+  }
   const auto& test_recipes = pipe.splits().test.recipes;
   std::printf("top 5 dishes by image embedding:\n");
-  for (int64_t idx : index.Query(query_emb, 5)) {
+  for (int64_t idx : (*index)->Query(query_emb, 5)) {
     const auto& r = test_recipes[static_cast<size_t>(idx)];
     std::printf("  [%s]", r.class_name.c_str());
     for (const auto& ing : r.ingredients) std::printf(" %s", ing.c_str());

@@ -10,11 +10,13 @@
 
 #include "core/downstream.h"
 #include "core/pipeline.h"
+#include "serve/retrieval_service.h"
 
 namespace {
 
 namespace core = adamine::core;
 namespace data = adamine::data;
+namespace serve = adamine::serve;
 using adamine::Tensor;
 
 core::PipelineConfig Config() {
@@ -87,17 +89,22 @@ int main() {
   for (const auto& ing : query->ingredients) std::printf("%s ", ing.c_str());
   std::printf("\n");
 
-  core::RetrievalIndex index(run->test_embeddings.image_emb);
+  auto index = serve::RetrievalService::Create(run->test_embeddings.image_emb,
+                                              serve::ServeConfig());
+  if (!index.ok()) {
+    std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
+    return 1;
+  }
   auto embed = [&](const data::Recipe& recipe) {
     data::EncodedRecipe encoded = data::EncodeRecipe(recipe, pipe.vocab());
     Tensor emb = run->model->EmbedRecipes({&encoded}).value();
     return emb.Reshape({emb.numel()});
   };
 
-  Report("with broccoli   ", index.Query(embed(*query), 4), test_recipes,
-         broccoli);
+  Report("with broccoli   ", (*index)->Query(embed(*query), 4),
+         test_recipes, broccoli);
   data::Recipe modified = core::RemoveIngredient(*query, "broccoli");
-  Report("without broccoli", index.Query(embed(modified), 4), test_recipes,
-         broccoli);
+  Report("without broccoli", (*index)->Query(embed(modified), 4),
+         test_recipes, broccoli);
   return 0;
 }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "kernel/reduce.h"
-#include "kernel/topk.h"
-#include "tensor/ops.h"
 #include "util/check.h"
 
 namespace adamine::core {
@@ -78,29 +75,6 @@ EmbeddedDataset EmbedDataset(CrossModalModel& model,
               out.recipe_emb.data() + start * latent);
   }
   return out;
-}
-
-RetrievalIndex::RetrievalIndex(Tensor items) : items_(std::move(items)) {
-  ADAMINE_CHECK_EQ(items_.ndim(), 2);
-}
-
-std::vector<int64_t> RetrievalIndex::Query(const Tensor& query,
-                                           int64_t k) const {
-  ADAMINE_CHECK_EQ(query.numel(), items_.cols());
-  const int64_t n = items_.rows();
-  const int64_t d = items_.cols();
-  std::vector<float> sims(static_cast<size_t>(n));
-  // The reference dot, so this scalar path stays bit-identical to the
-  // serving layer's batched GEMM scoring.
-  for (int64_t i = 0; i < n; ++i) {
-    sims[static_cast<size_t>(i)] =
-        kernel::DotAscending(items_.data() + i * d, query.data(), d);
-  }
-  kernel::TopK top(k);
-  top.Push(sims.data(), n, /*base_id=*/0);
-  std::vector<int64_t> ids;
-  for (const kernel::ScoredHit& hit : top.Take()) ids.push_back(hit.index);
-  return ids;
 }
 
 }  // namespace adamine::core

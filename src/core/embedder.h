@@ -24,23 +24,6 @@ EmbeddedDataset EmbedDataset(CrossModalModel& model,
                              const std::vector<data::EncodedRecipe>& recipes,
                              int64_t chunk_size = 256);
 
-/// Brute-force cosine retrieval over a fixed set of unit-norm item rows.
-class RetrievalIndex {
- public:
-  /// `items` rows must be L2-normalised (model embeddings are).
-  explicit RetrievalIndex(Tensor items);
-
-  /// Indices of the `k` nearest items to the unit query row [D] by cosine
-  /// similarity, most similar first (deterministic tie-break by index).
-  /// Requires k > 0 (checked).
-  std::vector<int64_t> Query(const Tensor& query, int64_t k) const;
-
-  int64_t size() const { return items_.rows(); }
-
- private:
-  Tensor items_;  // [N, D]
-};
-
 }  // namespace adamine::core
 
 #endif  // ADAMINE_CORE_EMBEDDER_H_

@@ -6,7 +6,6 @@
 
 #include "kernel/gemm.h"
 #include "kernel/kernel.h"
-#include "kernel/reduce.h"
 #include "kernel/topk.h"
 #include "linalg/kmeans.h"
 #include "tensor/ops.h"
@@ -43,7 +42,6 @@ StatusOr<IvfIndex> IvfIndex::Build(Tensor items, const IvfConfig& config) {
   if (!kmeans.ok()) return kmeans.status();
 
   IvfIndex index;
-  index.config_ = config;
   index.items_ = std::move(items);
   index.centroids_ = std::move(kmeans->centroids);
   index.lists_.resize(static_cast<size_t>(config.num_lists));
@@ -54,70 +52,13 @@ StatusOr<IvfIndex> IvfIndex::Build(Tensor items, const IvfConfig& config) {
   return index;
 }
 
-Status IvfIndex::SetNumProbes(int64_t num_probes) {
-  if (num_probes <= 0 || num_probes > num_lists()) {
-    return Status::InvalidArgument("need 0 < num_probes <= num_lists");
-  }
-  config_.num_probes = num_probes;
-  return Status::Ok();
-}
-
-std::vector<int64_t> IvfIndex::Search(const Tensor& query, int64_t k,
-                                      int64_t probes) const {
-  const int64_t d = items_.cols();
-  ADAMINE_CHECK_EQ(query.numel(), d);
-  // Same rules as IvfConfig::Validate: a non-positive k or probe count is a
-  // caller bug, never a silent empty result.
-  ADAMINE_CHECK_GT(k, 0);
-  ADAMINE_CHECK_GT(probes, 0);
-
-  // Rank centroids by inner product with the query.
-  const int64_t lists = centroids_.rows();
-  std::vector<float> sims(static_cast<size_t>(lists));
-  for (int64_t c = 0; c < lists; ++c) {
-    sims[static_cast<size_t>(c)] =
-        kernel::DotAscending(centroids_.data() + c * d, query.data(), d);
-  }
-  kernel::TopK top_lists(probes);
-  top_lists.Push(sims.data(), lists, /*base_id=*/0);
-
-  // Scan the probed lists.
-  kernel::TopK top(k);
-  for (const kernel::ScoredHit& list : top_lists.Take()) {
-    const std::vector<int64_t>& items =
-        lists_[static_cast<size_t>(list.index)];
-    sims.resize(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      sims[i] = kernel::DotAscending(items_.data() + items[i] * d,
-                                     query.data(), d);
-    }
-    top.Push(sims.data(), items.data(), static_cast<int64_t>(items.size()));
-  }
-  std::vector<int64_t> result;
-  for (const kernel::ScoredHit& hit : top.Take()) {
-    result.push_back(hit.index);
-  }
-  return result;
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::SearchBatch(
-    const Tensor& queries, int64_t k, int64_t probes) const {
-  const auto scored = SearchBatchScored(queries, k, probes);
-  std::vector<std::vector<int64_t>> results(scored.size());
-  for (size_t i = 0; i < scored.size(); ++i) {
-    results[i].reserve(scored[i].size());
-    for (const kernel::ScoredHit& hit : scored[i]) {
-      results[i].push_back(hit.index);
-    }
-  }
-  return results;
-}
-
-std::vector<std::vector<kernel::ScoredHit>> IvfIndex::SearchBatchScored(
+std::vector<std::vector<kernel::ScoredHit>> IvfIndex::Search(
     const Tensor& queries, int64_t k, int64_t probes) const {
   const int64_t d = items_.cols();
   ADAMINE_CHECK_EQ(queries.ndim(), 2);
   ADAMINE_CHECK_EQ(queries.cols(), d);
+  // Same rules as IvfConfig::Validate: a non-positive k or probe count is a
+  // caller bug, never a silent empty result.
   ADAMINE_CHECK_GT(k, 0);
   ADAMINE_CHECK_GT(probes, 0);
   const int64_t bsz = queries.rows();
@@ -185,61 +126,22 @@ std::vector<std::vector<kernel::ScoredHit>> IvfIndex::SearchBatchScored(
   return results;
 }
 
-std::vector<int64_t> IvfIndex::Query(const Tensor& query, int64_t k) const {
-  return Search(query, k, config_.num_probes);
-}
-
-std::vector<int64_t> IvfIndex::QueryExact(const Tensor& query,
-                                          int64_t k) const {
-  return Search(query, k, centroids_.rows());
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::QueryBatch(const Tensor& queries,
-                                                       int64_t k) const {
-  return SearchBatch(queries, k, config_.num_probes);
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::QueryBatchExact(
-    const Tensor& queries, int64_t k) const {
-  return SearchBatch(queries, k, centroids_.rows());
-}
-
-std::vector<int64_t> IvfIndex::QueryWithProbes(const Tensor& query,
-                                               int64_t k,
-                                               int64_t probes) const {
-  return Search(query, k, probes);
-}
-
-std::vector<std::vector<int64_t>> IvfIndex::QueryBatchWithProbes(
-    const Tensor& queries, int64_t k, int64_t probes) const {
-  return SearchBatch(queries, k, probes);
-}
-
-std::vector<std::vector<kernel::ScoredHit>>
-IvfIndex::QueryBatchScoredWithProbes(const Tensor& queries, int64_t k,
-                                     int64_t probes) const {
-  return SearchBatchScored(queries, k, probes);
-}
-
-double IvfIndex::RecallAtK(const Tensor& queries, int64_t k) const {
-  ADAMINE_CHECK_EQ(queries.ndim(), 2);
-  const int64_t n = queries.rows();
-  const int64_t d = queries.cols();
+double IvfIndex::RecallAtK(const Tensor& queries, int64_t k,
+                           int64_t probes) const {
+  const auto exact = Search(queries, k, num_lists());
+  const auto approx = Search(queries, k, probes);
   double recall = 0.0;
   int64_t counted = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    Tensor q({d});
-    std::copy(queries.data() + i * d, queries.data() + (i + 1) * d, q.data());
-    auto exact = QueryExact(q, k);
-    std::set<int64_t> truth(exact.begin(), exact.end());
+  for (size_t i = 0; i < exact.size(); ++i) {
+    std::set<int64_t> truth;
+    for (const kernel::ScoredHit& hit : exact[i]) truth.insert(hit.index);
     // A query with no exact neighbours carries no recall signal; counting
     // it in the denominator would deflate the average.
     if (truth.empty()) continue;
     ++counted;
-    auto approx = Query(q, k);
     int64_t hits = 0;
-    for (int64_t item : approx) {
-      if (truth.count(item)) ++hits;
+    for (const kernel::ScoredHit& hit : approx[i]) {
+      if (truth.count(hit.index)) ++hits;
     }
     recall +=
         static_cast<double>(hits) / static_cast<double>(truth.size());

@@ -21,9 +21,10 @@ double PairwiseDot(const float* a, const float* b, int64_t n);
 
 /// Inner product as a single float accumulation chain in ascending j, the
 /// multiply and the add rounded separately — the per-element order of
-/// kernel::Gemm. This is *the* reference similarity: the scalar backend,
-/// every exact rerank, IVF's scalar search and core::RetrievalIndex call
-/// it, and every exact backend must produce scores with these bits. It is
+/// kernel::Gemm. This is *the* reference similarity: the scalar backend
+/// (the one scalar oracle) calls it, the exact reranks use its eight-row
+/// form below, and every exact backend must produce scores with these
+/// bits. It is
 /// defined in reduce.cc, which is compiled with -ffp-contract=off, so
 /// callers get the un-fused chain whatever their own compile flags.
 float DotAscending(const float* a, const float* b, int64_t n);

@@ -64,8 +64,8 @@ serve::MutationPressure MutableBackend::pressure() const {
 }
 
 StatusOr<serve::TopKResult> MutableBackend::ScoreTopKImpl(
-    const serve::QueryBatch& batch, const serve::Filter* /*filter*/,
-    int64_t k, const serve::QueryOptions& /*options*/) {
+    const serve::QueryBatch& batch, int64_t k,
+    const serve::QueryOptions& /*options*/) {
   const std::shared_ptr<const CorpusSnapshot> snap = corpus_->snapshot();
   const int64_t b = batch.queries.rows();
   const int64_t d = snap->dim;

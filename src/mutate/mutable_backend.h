@@ -43,7 +43,7 @@ class MutableBackend final : public serve::ScoringBackend {
 
  protected:
   StatusOr<serve::TopKResult> ScoreTopKImpl(
-      const serve::QueryBatch& batch, const serve::Filter* filter, int64_t k,
+      const serve::QueryBatch& batch, int64_t k,
       const serve::QueryOptions& options) override;
 
  private:

@@ -63,7 +63,6 @@ namespace adamine::quant {
 namespace {
 
 using serve::BackendConfig;
-using serve::Filter;
 using serve::QueryBatch;
 using serve::QueryOptions;
 using serve::ScoringBackend;
@@ -401,8 +400,7 @@ class QuantizedBackend final : public ScoringBackend {
   bool exact() const override { return true; }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t b = batch.queries.rows();

@@ -48,8 +48,7 @@ class ScalarBackend final : public ScoringBackend {
   int64_t dim() const override { return items_.cols(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t b = batch.queries.rows();
@@ -102,8 +101,7 @@ class ExhaustiveBackend final : public ScoringBackend {
   int64_t dim() const override { return items_.cols(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& /*options*/)
       override {
     const int64_t m = batch.queries.rows();
@@ -137,8 +135,8 @@ class ExhaustiveBackend final : public ScoringBackend {
 /// every list is probed.
 class IvfBackend final : public ScoringBackend {
  public:
-  IvfBackend(index::IvfIndex index, int64_t dim)
-      : index_(std::move(index)), dim_(dim), probes_(index_.num_probes()) {}
+  IvfBackend(index::IvfIndex index, int64_t dim, int64_t probes)
+      : index_(std::move(index)), dim_(dim), probes_(probes) {}
 
   const char* name() const override { return "ivf"; }
   int64_t size() const override { return index_.size(); }
@@ -164,8 +162,7 @@ class IvfBackend final : public ScoringBackend {
   bool exact() const override { return probes() == index_.num_lists(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& options) override {
     const int64_t effective =
         options.probes > 0 ? std::min(options.probes, index_.num_lists())
@@ -174,7 +171,7 @@ class IvfBackend final : public ScoringBackend {
     Stopwatch watch;
     // The fused batched search (centroid scan, candidate GEMM, per-query
     // ranking) reports as one score stage; rank_ms stays fused.
-    out.hits = index_.QueryBatchScoredWithProbes(batch.queries, k, effective);
+    out.hits = index_.Search(batch.queries, k, effective);
     out.score_ms = watch.ElapsedMillis();
     return out;
   }
@@ -199,8 +196,7 @@ class ShardedBackend final : public ScoringBackend {
   int64_t dim() const override { return service_->dim(); }
 
  protected:
-  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                     const Filter* /*filter*/, int64_t k,
+  StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch, int64_t k,
                                      const QueryOptions& options) override {
     Stopwatch watch;
     QueryOptions fanout = options;
@@ -257,8 +253,9 @@ Registry& GlobalRegistry() {
           // Tensor copies alias the buffer, so the index shares the rows.
           auto index = index::IvfIndex::Build(config.items, config.ivf);
           if (!index.ok()) return index.status();
-          return std::unique_ptr<ScoringBackend>(new IvfBackend(
-              std::move(index).value(), config.items.cols()));
+          return std::unique_ptr<ScoringBackend>(
+              new IvfBackend(std::move(index).value(), config.items.cols(),
+                             config.ivf.num_probes));
         },
         BackendTraits{/*has_probes=*/true, /*sharded=*/false}};
     r->entries["sharded"] = {
@@ -320,17 +317,10 @@ Status UnknownBackend(const std::string& name, const Registry& registry) {
 }  // namespace
 
 StatusOr<TopKResult> ScoringBackend::ScoreTopK(const QueryBatch& batch,
-                                               const Filter* filter,
                                                int64_t k,
                                                const QueryOptions& options) {
   if (k <= 0) {
     return Status::InvalidArgument("k must be positive");
-  }
-  if (filter != nullptr) {
-    return Status::Unimplemented(
-        std::string("backend '") + name() +
-        "' does not support filtered retrieval yet (the predicate-pushdown "
-        "seam is reserved; see DESIGN.md, \"Backend registry\")");
   }
   if (batch.empty()) return TopKResult{};  // Zero queries, zero rows.
   if (batch.queries.ndim() != 2) {
@@ -351,7 +341,7 @@ StatusOr<TopKResult> ScoringBackend::ScoreTopK(const QueryBatch& batch,
           " has a non-finite value at column " + std::to_string(i % dim()));
     }
   }
-  return ScoreTopKImpl(batch, filter, k, options);
+  return ScoreTopKImpl(batch, k, options);
 }
 
 Status ScoringBackend::SetProbes(int64_t /*probes*/) {

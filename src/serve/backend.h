@@ -1,6 +1,7 @@
 #ifndef ADAMINE_SERVE_BACKEND_H_
 #define ADAMINE_SERVE_BACKEND_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,17 +45,6 @@ struct QueryBatch {
 
   int64_t size() const { return queries.defined() ? queries.rows() : 0; }
   bool empty() const { return size() == 0; }
-};
-
-/// Predicate-pushdown seam for the filtered-retrieval ROADMAP item (the
-/// paper's class / super-category structure): a query scoped to a subset of
-/// the corpus. No backend implements it yet — ScoreTopK answers any
-/// non-null filter with kUnimplemented, and the golden harness pins that
-/// contract for every registered backend, so the first real implementation
-/// inherits its correctness coverage for free.
-struct Filter {
-  /// Global row ids the query is allowed to retrieve, ascending.
-  std::vector<int64_t> allowed_ids;
 };
 
 /// A scored top-k answer plus the stage latencies the backend observed, so
@@ -124,12 +114,19 @@ class ScoringBackend {
 
   /// The single entry point. Validates the request (k > 0, query shape,
   /// finite query values; a violation is kInvalidArgument naming the row
-  /// and column), answers the empty batch with zero rows, rejects a
-  /// non-null filter with kUnimplemented until a backend supports predicate
-  /// pushdown, and delegates the rest to ScoreTopKImpl.
-  StatusOr<TopKResult> ScoreTopK(const QueryBatch& batch,
-                                 const Filter* filter, int64_t k,
+  /// and column), answers the empty batch with zero rows, and delegates the
+  /// rest to ScoreTopKImpl.
+  StatusOr<TopKResult> ScoreTopK(const QueryBatch& batch, int64_t k,
                                  const QueryOptions& options);
+
+  /// The old four-argument spelling, with the null filter of a seam that
+  /// no longer exists. servebench still calls it and changes only with the
+  /// benchmark; the next benchmark-scoped change moves it to the form
+  /// above and deletes this forwarder.
+  StatusOr<TopKResult> ScoreTopK(const QueryBatch& batch, std::nullptr_t,
+                                 int64_t k, const QueryOptions& options) {
+    return ScoreTopK(batch, k, options);
+  }
 
   /// The registry name this backend was created under.
   virtual const char* name() const = 0;
@@ -166,10 +163,9 @@ class ScoringBackend {
   virtual MutationPressure pressure() const { return {}; }
 
  protected:
-  /// The backend's scoring body. Called with a validated non-empty batch
-  /// and a null filter.
+  /// The backend's scoring body. Called with a validated non-empty batch.
   virtual StatusOr<TopKResult> ScoreTopKImpl(const QueryBatch& batch,
-                                             const Filter* filter, int64_t k,
+                                             int64_t k,
                                              const QueryOptions& options) = 0;
 };
 

@@ -338,8 +338,7 @@ RetrievalService::ScoreMicroBatch(const Tensor& queries, int64_t k,
   serve::QueryBatch batch{queries};
   QueryOptions score_options;
   score_options.probes = probes;
-  auto result = backend_->ScoreTopK(batch, /*filter=*/nullptr, k,
-                                    score_options);
+  auto result = backend_->ScoreTopK(batch, k, score_options);
   if (!result.ok()) return result.status();
   const double score_ms = stall_ms + result->score_ms;
   {
@@ -400,31 +399,10 @@ RetrievalService::QueryBatchScored(const Tensor& queries, int64_t k,
 StatusOr<std::vector<int64_t>> RetrievalService::QueryWithOptions(
     const Tensor& query, int64_t k, const QueryOptions& options) {
   ADAMINE_CHECK_EQ(query.numel(), dim());
-  ADAMINE_CHECK_GT(k, 0);
-  const TimePoint deadline = DeadlineOf(options);
-  // The effective probe count — a per-request override when set, else the
-  // dial — selects the result, so it must drive both the scoring and the
-  // cache key. Keying by the dial alone while an override was in force
-  // would file override-scored results under the dial's namespace (and
-  // vice versa), serving stale mixes after the next SetProbes.
-  const int64_t current_probes =
-      options.probes > 0 ? options.probes : probes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-  }
-  const std::string key = CacheKey(query.data(), k, current_probes);
-  std::vector<int64_t> cached;
-  if (CacheLookup(key, &cached)) return cached;
-  AdmissionTicket ticket(*admission_, deadline);
-  ADAMINE_RETURN_IF_ERROR(ticket.status());
-  Tensor batch({1, dim()});
-  std::copy(query.data(), query.data() + dim(), batch.data());
-  auto results = ScoreMicroBatch(batch, k, current_probes, deadline);
+  auto results =
+      QueryBatchWithOptions(query.Reshape({1, dim()}), k, options);
   if (!results.ok()) return results.status();
-  std::vector<int64_t> ids = IdsOf(results.value()[0]);
-  CacheInsert(key, ids);
-  return ids;
+  return std::move(results.value()[0]);
 }
 
 StatusOr<std::vector<std::vector<int64_t>>>
@@ -436,7 +414,11 @@ RetrievalService::QueryBatchWithOptions(const Tensor& queries, int64_t k,
   const TimePoint deadline = DeadlineOf(options);
   const int64_t b = queries.rows();
   const int64_t d = dim();
-  // Effective probes (override or dial) — see QueryWithOptions.
+  // The effective probe count — a per-request override when set, else the
+  // dial — selects the result, so it must drive both the scoring and the
+  // cache key. Keying by the dial alone while an override was in force
+  // would file override-scored results under the dial's namespace (and
+  // vice versa), serving stale mixes after the next SetProbes.
   const int64_t current_probes =
       options.probes > 0 ? options.probes : probes();
   {
@@ -465,10 +447,10 @@ RetrievalService::QueryBatchWithOptions(const Tensor& queries, int64_t k,
       ticket = std::make_unique<AdmissionTicket>(*admission_, deadline);
       ADAMINE_RETURN_IF_ERROR(ticket->status());
     }
-    // A deadline check between micro-batches, so one slow batch cannot
-    // hold the rest of the request's budget hostage.
+    // A deadline check before every micro-batch is scored, so one slow
+    // batch cannot hold the rest of the request's budget hostage.
     if (std::chrono::steady_clock::now() >= deadline) {
-      return DeadlineMiss("between micro-batches");
+      return DeadlineMiss("before scoring a micro-batch");
     }
     Tensor micro({static_cast<int64_t>(miss_rows.size()), d});
     for (size_t r = 0; r < miss_rows.size(); ++r) {

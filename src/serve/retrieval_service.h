@@ -140,20 +140,19 @@ class RetrievalService {
       const std::string& path, const std::string& name,
       const ServeConfig& config);
 
-  /// Indices of the k most cosine-similar items to the unit query row [D],
-  /// most similar first. Served from the cache when the exact same
-  /// (query bytes, k, probes) was answered before. Fails with
-  /// kDeadlineExceeded (budget exhausted) or kUnavailable (load shed).
+  /// QueryBatchWithOptions for the one unit query row [D].
   StatusOr<std::vector<int64_t>> QueryWithOptions(const Tensor& query,
                                                   int64_t k,
                                                   const QueryOptions& options);
 
-  /// Batched QueryWithOptions over the rows of `queries` [B, D]: rows are
-  /// answered from the cache where possible and the misses are scored in
-  /// micro-batches of config().micro_batch rows through one backend call
-  /// each. results[i] corresponds to row i. The deadline is re-checked
-  /// between micro-batches, so one slow batch cannot hold the budget
-  /// hostage.
+  /// Indices of the k most cosine-similar items to each row of `queries`
+  /// [B, D], most similar first; results[i] corresponds to row i. Rows are
+  /// answered from the cache where the exact same (query bytes, k, probes)
+  /// was answered before, and the misses are scored in micro-batches of
+  /// config().micro_batch rows through one backend call each. The deadline
+  /// is checked while queued for admission and before every micro-batch,
+  /// so one slow batch cannot hold the budget hostage. Fails with
+  /// kDeadlineExceeded (budget exhausted) or kUnavailable (load shed).
   StatusOr<std::vector<std::vector<int64_t>>> QueryBatchWithOptions(
       const Tensor& queries, int64_t k, const QueryOptions& options);
 

@@ -135,8 +135,8 @@ class RemoteBackend final : public serve::ScoringBackend {
 
  protected:
   StatusOr<serve::TopKResult> ScoreTopKImpl(
-      const serve::QueryBatch& batch, const serve::Filter* /*filter*/,
-      int64_t k, const serve::QueryOptions& options) override {
+      const serve::QueryBatch& batch, int64_t k,
+      const serve::QueryOptions& options) override {
     auto merged = service_->QueryBatchWithOptions(batch.queries, k, options);
     if (!merged.ok()) return merged.status();
     serve::TopKResult out;
@@ -246,9 +246,8 @@ std::unique_ptr<serve::ScoringBackend> MustCreate(const std::string& name,
 
 std::vector<std::vector<serve::ScoredHit>> MustScore(
     serve::ScoringBackend& backend, const Tensor& queries, int64_t k) {
-  auto result = backend.ScoreTopK(serve::QueryBatch{queries},
-                                  /*filter=*/nullptr, k,
-                                  serve::QueryOptions());
+  auto result =
+      backend.ScoreTopK(serve::QueryBatch{queries}, k, serve::QueryOptions());
   ADAMINE_CHECK_MSG(result.ok(), result.status().ToString());
   return std::move(result->hits);
 }
@@ -436,8 +435,8 @@ TEST_P(BackendGoldenTest, MatchesScalarReferenceAcrossTheMatrix) {
 
 TEST_P(BackendGoldenTest, EmptyBatchAnswersZeroRows) {
   auto backend = MustCreate(GetParam(), GoldenCorpora()[0]);
-  auto result = backend->ScoreTopK(serve::QueryBatch{}, /*filter=*/nullptr,
-                                   5, serve::QueryOptions());
+  auto result =
+      backend->ScoreTopK(serve::QueryBatch{}, 5, serve::QueryOptions());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->hits.empty());
 }
@@ -446,14 +445,14 @@ TEST_P(BackendGoldenTest, InvalidRequestsAreDescriptiveStatuses) {
   auto backend = MustCreate(GetParam(), GoldenCorpora()[0]);
   const Tensor& queries = GoldenCorpora()[0].queries;
   // k must be positive.
-  auto bad_k = backend->ScoreTopK(serve::QueryBatch{queries}, nullptr, 0,
-                                  serve::QueryOptions());
+  auto bad_k =
+      backend->ScoreTopK(serve::QueryBatch{queries}, 0, serve::QueryOptions());
   ASSERT_FALSE(bad_k.ok());
   EXPECT_EQ(bad_k.status().code(), StatusCode::kInvalidArgument);
   // Query width must match the corpus dim.
   Tensor narrow = ClusteredUnitRows(1, 2, 4, 31);
-  auto bad_dim = backend->ScoreTopK(serve::QueryBatch{narrow}, nullptr, 5,
-                                    serve::QueryOptions());
+  auto bad_dim =
+      backend->ScoreTopK(serve::QueryBatch{narrow}, 5, serve::QueryOptions());
   ASSERT_FALSE(bad_dim.ok());
   EXPECT_EQ(bad_dim.status().code(), StatusCode::kInvalidArgument);
   // Query values must be finite: NaN breaks the ranking's ordering and an
@@ -464,8 +463,8 @@ TEST_P(BackendGoldenTest, InvalidRequestsAreDescriptiveStatuses) {
                     -std::numeric_limits<float>::infinity()}) {
     Tensor poisoned = queries.Clone();
     poisoned.At(1, 3) = bad;
-    auto rejected = backend->ScoreTopK(serve::QueryBatch{poisoned}, nullptr,
-                                       5, serve::QueryOptions());
+    auto rejected = backend->ScoreTopK(serve::QueryBatch{poisoned}, 5,
+                                       serve::QueryOptions());
     ASSERT_FALSE(rejected.ok()) << "value " << bad;
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(rejected.status().message().find("row 1"), std::string::npos)
@@ -473,23 +472,6 @@ TEST_P(BackendGoldenTest, InvalidRequestsAreDescriptiveStatuses) {
     EXPECT_NE(rejected.status().message().find("column 3"), std::string::npos)
         << rejected.status().ToString();
   }
-}
-
-TEST_P(BackendGoldenTest, FilterIsRejectedAsUnimplemented) {
-  // The predicate-pushdown seam: until a backend implements filtered
-  // retrieval, a non-null filter must be an honest kUnimplemented naming
-  // the backend — never a silently unfiltered answer.
-  const std::string name = GetParam();
-  auto backend = MustCreate(name, GoldenCorpora()[0]);
-  serve::Filter filter;
-  filter.allowed_ids = {0, 1};
-  auto result =
-      backend->ScoreTopK(serve::QueryBatch{GoldenCorpora()[0].queries},
-                         &filter, 5, serve::QueryOptions());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
-  EXPECT_NE(result.status().message().find(name), std::string::npos)
-      << result.status().ToString();
 }
 
 TEST_P(BackendGoldenTest, ProbeDialStatusMatchesTraits) {

@@ -100,15 +100,14 @@ TEST(IvfIndexTest, ExactQueryMatchesBruteForce) {
   Tensor items = ClusteredUnitRows(20, 17);
   index::IvfConfig config;
   config.num_lists = 5;
-  config.num_probes = 5;  // All lists probed -> exact.
   auto index = index::IvfIndex::Build(items.Clone(), config);
   ASSERT_TRUE(index.ok());
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
-    Tensor q = L2NormalizeRows(Tensor::Randn({1, 8}, rng)).Reshape({8});
-    auto got = index->Query(q, 5);
+    Tensor q = L2NormalizeRows(Tensor::Randn({1, 8}, rng));
+    auto got = index->Search(q, 5, config.num_lists)[0];
     // Brute force.
-    Tensor sims = CosineSimilarityMatrix(q.Reshape({1, 8}), items);
+    Tensor sims = CosineSimilarityMatrix(q, items);
     std::vector<int64_t> order(static_cast<size_t>(items.rows()));
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
@@ -117,7 +116,8 @@ TEST(IvfIndexTest, ExactQueryMatchesBruteForce) {
     });
     ASSERT_EQ(got.size(), 5u);
     for (int64_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(got[static_cast<size_t>(i)], order[static_cast<size_t>(i)]);
+      EXPECT_EQ(got[static_cast<size_t>(i)].index,
+                order[static_cast<size_t>(i)]);
     }
   }
 }
@@ -132,21 +132,20 @@ TEST(IvfIndexTest, ApproximateRecallHighOnClusteredData) {
   // Queries near the data: recall@10 should be high because each cluster
   // is covered by the probed lists.
   Tensor queries = ClusteredUnitRows(5, 19);
-  const double recall = index->RecallAtK(queries, 10);
+  const double recall = index->RecallAtK(queries, 10, config.num_probes);
   EXPECT_GT(recall, 0.8);
 }
 
 TEST(IvfIndexTest, MoreProbesNeverHurtRecall) {
   Tensor items = ClusteredUnitRows(40, 23);
   Tensor queries = ClusteredUnitRows(4, 29);
+  index::IvfConfig config;
+  config.num_lists = 8;
+  auto index = index::IvfIndex::Build(items.Clone(), config);
+  ASSERT_TRUE(index.ok());
   double last = 0.0;
   for (int64_t probes : {1, 2, 4, 8}) {
-    index::IvfConfig config;
-    config.num_lists = 8;
-    config.num_probes = probes;
-    auto index = index::IvfIndex::Build(items.Clone(), config);
-    ASSERT_TRUE(index.ok());
-    const double recall = index->RecallAtK(queries, 8);
+    const double recall = index->RecallAtK(queries, 8, probes);
     EXPECT_GE(recall, last - 1e-9);
     last = recall;
   }
@@ -164,13 +163,12 @@ TEST(IvfIndexTest, RecallWellDefinedWhenKExceedsListSizes) {
   config.num_probes = 1;
   auto index = index::IvfIndex::Build(items.Clone(), config);
   ASSERT_TRUE(index.ok());
-  const double partial = index->RecallAtK(queries, 50);
+  const double partial = index->RecallAtK(queries, 50, 1);
   EXPECT_GT(partial, 0.0);
   EXPECT_LT(partial, 1.0);  // One probed list cannot cover all 12 items.
-  ASSERT_TRUE(index->SetNumProbes(3).ok());
   // All lists probed: approx == exact, so recall is exactly 1 even though
   // k is far larger than any list.
-  EXPECT_EQ(index->RecallAtK(queries, 50), 1.0);
+  EXPECT_EQ(index->RecallAtK(queries, 50, 3), 1.0);
 }
 
 TEST(PairedBootstrapTest, RejectsBadInput) {

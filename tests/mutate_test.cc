@@ -966,9 +966,9 @@ void ExpectBitIdentical(serve::ScoringBackend* mutable_backend,
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   serve::QueryBatch batch;
   batch.queries = queries;
-  auto got = mutable_backend->ScoreTopK(batch, nullptr, k, {});
+  auto got = mutable_backend->ScoreTopK(batch, k, {});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto want = (*reference)->ScoreTopK(batch, nullptr, k, {});
+  auto want = (*reference)->ScoreTopK(batch, k, {});
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_EQ(got->hits.size(), want->hits.size());
   for (size_t q = 0; q < want->hits.size(); ++q) {
@@ -1113,7 +1113,7 @@ TEST_F(MutableBackendTest, JustIngestedRowIsImmediatelyRetrievable) {
   ASSERT_TRUE(added.ok());
   serve::QueryBatch batch;
   batch.queries = ItemsForIds({777});
-  auto result = (*backend)->ScoreTopK(batch, nullptr, 1, {});
+  auto result = (*backend)->ScoreTopK(batch, 1, {});
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->hits[0].size(), 1u);
   EXPECT_EQ(result->hits[0][0].index, *added);  // Its own nearest neighbour.
@@ -1138,7 +1138,7 @@ TEST_F(MutableBackendTest, PersistentWalDirSurvivesReopen) {
   EXPECT_EQ((*backend)->size(), 4);
   serve::QueryBatch batch;
   batch.queries = ItemsForIds({3});
-  auto result = (*backend)->ScoreTopK(batch, nullptr, 1, {});
+  auto result = (*backend)->ScoreTopK(batch, 1, {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->hits[0][0].index, added_id);
 }
@@ -1248,7 +1248,7 @@ TEST_F(MutateConcurrencyTest, ConcurrentMutateAndQueryThenBitIdentical) {
           // (id % 3 != 0 keeps the deleter's hands off it).
           serve::QueryBatch batch;
           batch.queries = Tensor::FromVector({1, kDim}, row);
-          auto result = backend.ScoreTopK(batch, nullptr, 8, {});
+          auto result = backend.ScoreTopK(batch, 8, {});
           if (!result.ok() || result->hits[0].empty() ||
               result->hits[0][0].index != *id) {
             ++failures;
@@ -1286,7 +1286,7 @@ TEST_F(MutateConcurrencyTest, ConcurrentMutateAndQueryThenBitIdentical) {
       for (int64_t i = 0; i < 120; ++i) {
         serve::QueryBatch batch;
         batch.queries = ItemsForIds({5000 + r * 100 + (i % 7)});
-        auto result = backend.ScoreTopK(batch, nullptr, 5, {});
+        auto result = backend.ScoreTopK(batch, 5, {});
         if (!result.ok()) {
           ++failures;
           return;

@@ -565,13 +565,13 @@ void ExpectQuantizedMatchesScalar(const Tensor& items, const Tensor& queries,
     auto quantized = serve::CreateBackend("quantized", config);
     ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
     for (int64_t k : ks) {
-      auto expect = (*scalar)->ScoreTopK(serve::QueryBatch{queries}, nullptr,
-                                         k, serve::QueryOptions());
+      auto expect = (*scalar)->ScoreTopK(serve::QueryBatch{queries}, k,
+                                         serve::QueryOptions());
       ASSERT_TRUE(expect.ok()) << expect.status().ToString();
       for (int threads : {1, 4}) {
         ThreadGuard guard(threads);
-        auto got = (*quantized)->ScoreTopK(serve::QueryBatch{queries},
-                                           nullptr, k, serve::QueryOptions());
+        auto got = (*quantized)->ScoreTopK(serve::QueryBatch{queries}, k,
+                                           serve::QueryOptions());
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(got->hits.size(), expect->hits.size());
         for (size_t i = 0; i < got->hits.size(); ++i) {

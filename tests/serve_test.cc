@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -23,13 +26,15 @@
 #include <thread>
 #include <vector>
 
-#include "core/embedder.h"
 #include "index/ivf_index.h"
 #include "io/serialize.h"
 #include "kernel/kernel.h"
+#include "kernel/reduce.h"
+#include "linalg/kmeans.h"
 #include "serve/admission.h"
 #include "serve/degradation.h"
 #include "tensor/ops.h"
+#include "util/check.h"
 #include "util/fault.h"
 #include "util/rng.h"
 
@@ -67,6 +72,12 @@ Tensor RowOf(const Tensor& m, int64_t i) {
   std::copy(m.data() + i * m.cols(), m.data() + (i + 1) * m.cols(),
             row.data());
   return row;
+}
+
+std::vector<int64_t> IdsOf(const std::vector<serve::ScoredHit>& hits) {
+  std::vector<int64_t> ids;
+  for (const serve::ScoredHit& hit : hits) ids.push_back(hit.index);
+  return ids;
 }
 
 serve::ServeConfig ExhaustiveConfig(int64_t micro_batch = 32,
@@ -112,11 +123,14 @@ TEST(ServeConfigTest, Validation) {
 TEST(RetrievalServiceTest, MicroBatchSplitsMatchScalarPath) {
   Tensor items = ClusteredUnitRows(6, 10, 16, 3);
   Tensor queries = ClusteredUnitRows(6, 2, 16, 5);
-  core::RetrievalIndex scalar(items);
+  serve::BackendConfig scalar_config;
+  scalar_config.items = items;
+  auto scalar = serve::CreateBackend("scalar", scalar_config);
+  ASSERT_TRUE(scalar.ok());
+  auto scored = (*scalar)->ScoreTopK(serve::QueryBatch{queries}, 10, {});
+  ASSERT_TRUE(scored.ok());
   std::vector<std::vector<int64_t>> expect;
-  for (int64_t i = 0; i < queries.rows(); ++i) {
-    expect.push_back(scalar.Query(RowOf(queries, i), 10));
-  }
+  for (const auto& hits : scored->hits) expect.push_back(IdsOf(hits));
   for (int64_t micro_batch : {1, 7, 64}) {
     auto service = serve::RetrievalService::Create(
         items, ExhaustiveConfig(micro_batch));
@@ -126,21 +140,109 @@ TEST(RetrievalServiceTest, MicroBatchSplitsMatchScalarPath) {
   }
 }
 
+/// IVF's answer rebuilt from scratch, one query at a time: the lists from
+/// linalg::KMeans with the index's config, the centroids ranked by
+/// kernel::DotAscending under (score desc, id asc), and the rows of the top
+/// `probes` lists scored and ranked the same way, keeping k. It shares no
+/// code with IvfIndex::Search past k-means, so it pins which lists a query
+/// probes and that each query ranks only its own lists' rows.
+std::vector<std::vector<serve::ScoredHit>> IvfReference(
+    const Tensor& items, const index::IvfConfig& ivf, const Tensor& queries,
+    int64_t k, int64_t probes) {
+  linalg::KMeansConfig kmeans_config;
+  kmeans_config.k = ivf.num_lists;
+  kmeans_config.max_iterations = ivf.kmeans_iterations;
+  kmeans_config.seed = ivf.seed;
+  auto kmeans = linalg::KMeans(items, kmeans_config);
+  ADAMINE_CHECK(kmeans.ok());
+  const Tensor& centroids = kmeans->centroids;
+  const int64_t d = items.cols();
+  const auto ranked = [](std::vector<serve::ScoredHit> hits, int64_t keep) {
+    std::sort(hits.begin(), hits.end(),
+              [](const serve::ScoredHit& a, const serve::ScoredHit& b) {
+                return a.score > b.score ||
+                       (a.score == b.score && a.index < b.index);
+              });
+    hits.resize(std::min<size_t>(hits.size(), static_cast<size_t>(keep)));
+    return hits;
+  };
+  std::vector<std::vector<serve::ScoredHit>> answers;
+  for (int64_t i = 0; i < queries.rows(); ++i) {
+    const float* q = queries.data() + i * d;
+    std::vector<serve::ScoredHit> lists;
+    for (int64_t c = 0; c < centroids.rows(); ++c) {
+      lists.push_back(
+          {c, kernel::DotAscending(centroids.data() + c * d, q, d)});
+    }
+    std::vector<serve::ScoredHit> rows;
+    for (const serve::ScoredHit& list : ranked(lists, probes)) {
+      for (size_t r = 0; r < kmeans->assignments.size(); ++r) {
+        if (kmeans->assignments[r] != list.index) continue;
+        const int64_t id = static_cast<int64_t>(r);
+        rows.push_back(
+            {id, kernel::DotAscending(items.data() + id * d, q, d)});
+      }
+    }
+    answers.push_back(ranked(rows, k));
+  }
+  return answers;
+}
+
+/// Same ids and same score bits, row by row.
+::testing::AssertionResult SameHits(
+    const std::vector<std::vector<serve::ScoredHit>>& want,
+    const std::vector<std::vector<serve::ScoredHit>>& got) {
+  if (want.size() != got.size()) {
+    return ::testing::AssertionFailure()
+           << want.size() << " rows expected, " << got.size() << " returned";
+  }
+  for (size_t q = 0; q < want.size(); ++q) {
+    if (want[q].size() != got[q].size()) {
+      return ::testing::AssertionFailure()
+             << "query " << q << ": " << want[q].size() << " hits expected, "
+             << got[q].size() << " returned";
+    }
+    for (size_t r = 0; r < want[q].size(); ++r) {
+      if (want[q][r].index != got[q][r].index ||
+          std::bit_cast<uint32_t>(want[q][r].score) !=
+              std::bit_cast<uint32_t>(got[q][r].score)) {
+        return ::testing::AssertionFailure()
+               << "query " << q << ", rank " << r << ": expected (id "
+               << want[q][r].index << ", score " << std::hexfloat
+               << want[q][r].score << "), got (id " << got[q][r].index
+               << ", score " << got[q][r].score << ")" << std::defaultfloat;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(IvfIndexBatchTest, BatchedQueryMatchesPerQueryScalar) {
-  // Direct index-level equivalence, including the exact (all-probe) path.
   Tensor items = ClusteredUnitRows(5, 25, 12, 13);
   Tensor queries = ClusteredUnitRows(5, 4, 12, 17);
   index::IvfConfig ivf;
   ivf.num_lists = 5;
-  ivf.num_probes = 2;
   auto index = index::IvfIndex::Build(items.Clone(), ivf);
   ASSERT_TRUE(index.ok());
-  auto batched = index->QueryBatch(queries, 7);
-  auto batched_exact = index->QueryBatchExact(queries, 7);
-  for (int64_t i = 0; i < queries.rows(); ++i) {
-    Tensor q = RowOf(queries, i);
-    EXPECT_EQ(batched[static_cast<size_t>(i)], index->Query(q, 7));
-    EXPECT_EQ(batched_exact[static_cast<size_t>(i)], index->QueryExact(q, 7));
+  for (const int64_t probes : {int64_t{1}, int64_t{2}, ivf.num_lists}) {
+    for (const int64_t k : {int64_t{1}, int64_t{7}, items.rows() + 3}) {
+      const auto want = IvfReference(items, ivf, queries, k, probes);
+      for (const int threads : {1, 4}) {
+        ThreadGuard guard(threads);
+        const std::string where = "probes " + std::to_string(probes) +
+                                  " k " + std::to_string(k) + " threads " +
+                                  std::to_string(threads);
+        const auto got = index->Search(queries, k, probes);
+        EXPECT_TRUE(SameHits(want, got)) << where;
+        // A row's answer does not depend on the batch it is searched in.
+        std::vector<std::vector<serve::ScoredHit>> one_at_a_time;
+        for (int64_t i = 0; i < queries.rows(); ++i) {
+          one_at_a_time.push_back(
+              index->Search(SliceRows(queries, i, i + 1), k, probes)[0]);
+        }
+        EXPECT_TRUE(SameHits(got, one_at_a_time)) << where;
+      }
+    }
   }
 }
 
@@ -358,16 +460,13 @@ TEST(IvfIndexValidationTest, RejectsNonPositiveKAndProbes) {
   ivf.num_probes = 2;
   auto index = index::IvfIndex::Build(items.Clone(), ivf);
   ASSERT_TRUE(index.ok());
-  Tensor q = RowOf(items, 0);
-  EXPECT_DEATH(index->Query(q, 0), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->Query(q, -3), "\\(k\\) > \\(0\\)");
-  EXPECT_DEATH(index->QueryWithProbes(q, 5, 0), "\\(probes\\) > \\(0\\)");
-  EXPECT_DEATH(index->QueryBatchWithProbes(items, 5, -1),
-               "\\(probes\\) > \\(0\\)");
-  EXPECT_FALSE(index->SetNumProbes(0).ok());
-  EXPECT_FALSE(index->SetNumProbes(5).ok());  // > num_lists.
-  ASSERT_TRUE(index->SetNumProbes(4).ok());
-  EXPECT_EQ(index->num_probes(), 4);
+  Tensor q = SliceRows(items, 0, 1);
+  EXPECT_DEATH(index->Search(q, 0, 2), "\\(k\\) > \\(0\\)");
+  EXPECT_DEATH(index->Search(q, -3, 2), "\\(k\\) > \\(0\\)");
+  EXPECT_DEATH(index->Search(q, 5, 0), "\\(probes\\) > \\(0\\)");
+  EXPECT_DEATH(index->Search(items, 5, -1), "\\(probes\\) > \\(0\\)");
+  // A probe count past num_lists is clamped to it: the exact search.
+  EXPECT_EQ(index->Search(items, 5, 5), index->Search(items, 5, 4));
 }
 
 TEST(RetrievalServiceConcurrencyTest, ConcurrentQueriesAreConsistent) {
@@ -755,7 +854,11 @@ TEST(RetrievalServiceConcurrencyTest, ProbeDialStressNeverTearsResults) {
   const std::vector<int64_t> dial_values = {1, 2, 4, 8};
   std::vector<std::vector<std::vector<int64_t>>> truth;
   for (int64_t probes : dial_values) {
-    truth.push_back(index->QueryBatchWithProbes(queries, 5, probes));
+    std::vector<std::vector<int64_t>> ids;
+    for (const auto& hits : index->Search(queries, 5, probes)) {
+      ids.push_back(IdsOf(hits));
+    }
+    truth.push_back(std::move(ids));
   }
   std::atomic<int> torn{0};
   std::atomic<bool> stop{false};
@@ -810,17 +913,18 @@ TEST_F(OverloadTest, ShedsDegradesAndRecoversUnderOverload) {
   auto service = serve::RetrievalService::Create(items, config);
   ASSERT_TRUE(service.ok());
 
-  // The un-overloaded reference, per probe value the dial can visit, from
-  // the scalar per-query path at several thread counts (the bit-identity
+  // The un-overloaded reference at the configured probes, from the index
+  // searched directly, served at several thread counts (the bit-identity
   // contract holds under overload machinery too).
   auto index = index::IvfIndex::Build(items.Clone(), config.ivf);
   ASSERT_TRUE(index.ok());
+  const auto truth = index->Search(queries, 5, 4);
   for (int width : {1, 2, 4}) {
     ThreadGuard guard(width);
     auto got = (*service)->QueryBatch(queries, 5);
     for (int64_t i = 0; i < queries.rows(); ++i) {
       EXPECT_EQ(got[static_cast<size_t>(i)],
-                index->QueryWithProbes(RowOf(queries, i), 5, 4))
+                IdsOf(truth[static_cast<size_t>(i)]))
           << "width " << width;
     }
   }

@@ -231,17 +231,5 @@ TEST(EmbedDatasetTest, ShapesAndLabels) {
   }
 }
 
-TEST(RetrievalIndexTest, FindsNearestByConstruction) {
-  Tensor items = Tensor::FromVector({3, 2}, {1, 0, 0, 1, -1, 0});
-  RetrievalIndex index(items);
-  Tensor query = Tensor::FromVector({2}, {0.9f, 0.1f});
-  auto top = index.Query(query, 2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0], 0);
-  EXPECT_EQ(top[1], 1);
-  // k larger than the index is capped.
-  EXPECT_EQ(index.Query(query, 10).size(), 3u);
-}
-
 }  // namespace
 }  // namespace adamine::core
