@@ -10,14 +10,15 @@
 // (see DESIGN.md, "Kernel execution layer"), only the wall clock, so the
 // sweep is a pure scaling measurement. GEMM and the int8 scan carry a third,
 // the kernel::Isa level they are capped at (0 portable, 1 avx2, 2
-// avx2_vnni), so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread, AVX-VNNI";
-// a level the CPU lacks is skipped, its row naming the missing level.
-// BM_QuantizedScore takes the level as its only argument. The level changes
-// no bits either, so
+// avx2_vnni, 3 avx512), so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread,
+// AVX-VNNI"; a level the CPU lacks is skipped, its row naming the missing
+// level. BM_QuantizedScore takes the level as its only argument. The level
+// changes no bits either, so
 //
 //   build/bench/bench_kernels --benchmark_filter='BM_Int8Scan/.*/1/'
+//   build/bench/bench_kernels --benchmark_filter='BM_GemmTransB/'
 //
-// prints DESIGN.md's per-level scan table in one run.
+// print DESIGN.md's per-level scan and serving-GEMM tables in one run each.
 
 #include <benchmark/benchmark.h>
 
@@ -89,21 +90,35 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Gemm)->ArgsProduct({{32, 64, 128, 256}, {1, 4}, {0, 1, 2}});
+BENCHMARK(BM_Gemm)->ArgsProduct({{32, 64, 128, 256}, {1, 4}, {0, 1, 2, 3}});
 
+/// Queries x corpus^T at the serving shapes, k = 128: an rpc-fanout shard
+/// dispatch (32 x 3,000) and an ingest-live batch (16 x 2,000), on one pool
+/// thread into a reused output. The arguments are m, n and the kernel::Isa
+/// level, so `BM_GemmTransB/32/3000/3` reads "32 x 3,000 at avx512".
+/// Items/s counts flops (2mnk).
 void BM_GemmTransB(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  ThreadGuard guard(static_cast<int>(state.range(1)));
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  constexpr int64_t kDim = 128;
+  ThreadGuard guard(1);
+  IsaGuard isa(state, state.range(2));
+  if (isa.skipped()) return;
   Rng rng(1);
-  Tensor a = Tensor::Randn({n, n}, rng);
-  Tensor b = Tensor::Randn({n, n}, rng);
+  const Tensor queries = Tensor::Randn({m, kDim}, rng);
+  const Tensor corpus = Tensor::Randn({n, kDim}, rng);
+  std::vector<float> sims(static_cast<size_t>(m * n));
   for (auto _ : state) {
-    Tensor c = Gemm(a, false, b, true);
-    benchmark::DoNotOptimize(c.data());
+    kernel::Gemm(queries.data(), kDim, false, corpus.data(), kDim, true, m,
+                 n, kDim, sims.data());
+    benchmark::DoNotOptimize(sims.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * kDim);
 }
-BENCHMARK(BM_GemmTransB)->ArgsProduct({{64, 128}, {1, 4}});
+BENCHMARK(BM_GemmTransB)
+    ->ArgsProduct({{32}, {3000}, {0, 1, 2, 3}})
+    ->ArgsProduct({{16}, {2000}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMicrosecond);
 
 /// The quantized backend's scan at the bulk-quantized shape: 10,000 rows of
 /// 128 int8 codes (1.25 MiB) against 1 or 4 queries in one pass. Bytes/s
@@ -129,7 +144,7 @@ void BM_Int8Scan(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * queries * rows * dim);
 }
-BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}, {0, 1, 2}});
+BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}, {0, 1, 2, 3}});
 
 /// `rows` L2-normalised image features of the recipe generator (192 Zipf
 /// classes, d = 128), so the rows cluster as in the serving benchmark.
@@ -153,7 +168,7 @@ Tensor ImageFeatureRows(int64_t rows, uint64_t seed) {
 /// One quantized backend call of 32 query rows at the bulk-quantized shape:
 /// 10,000 x 128 image-feature rows, k = 10, rerank_factor 4, one pool
 /// thread. The argument is the kernel::Isa level the call is capped at
-/// (0 portable, 1 avx2, 2 avx2_vnni), which changes no bits, so
+/// (0 portable, 1 avx2, 2 avx2_vnni, 3 avx512), which changes no bits, so
 ///
 ///   build/bench/bench_kernels --benchmark_filter='BM_QuantizedScore/'
 ///
@@ -176,7 +191,7 @@ void BM_QuantizedScore(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kQueries);
 }
-BENCHMARK(BM_QuantizedScore)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QuantizedScore)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 /// Top-10 selection from a query block's [m, n] score matrix, at the two
 /// serving shapes: an rpc-fanout shard dispatch (32 queries x 3,000 rows)

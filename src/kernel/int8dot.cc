@@ -255,6 +255,7 @@ void Int8ScanRows(const int8_t* codes, int64_t rows, int64_t dim,
   std::vector<int16_t> wide;
 #if defined(__x86_64__)
   switch (ActiveIsa()) {
+    case Isa::kAvx512:  // The int8 tile stays 256 bits wide there.
     case Isa::kAvx2Vnni: {
       const int64_t vec_end = dim & ~int64_t{31};
       for (int q = 0; q < num_queries; ++q) {
@@ -289,6 +290,7 @@ void Int8ScanRows(const int8_t* codes, int64_t rows, int64_t dim,
 
 const char* Int8DotIsa() {
   switch (ActiveIsa()) {
+    case Isa::kAvx512:
     case Isa::kAvx2Vnni:
       return "avx2+vnni";
     case Isa::kAvx2:

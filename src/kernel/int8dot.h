@@ -32,9 +32,10 @@ int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n);
 /// rows x 4 queries (4 x 2 for two queries, 8 x 1 for one), and a chunk of
 /// a row is loaded once and multiplied against every query. The tile is
 /// picked from ActiveIsa() at each call:
-///   - kAvx2Vnni: 32-code chunks through _mm256_dpbusd_avx_epi32, with the
-///     row made unsigned (c + 128) and 128 * sum(q) subtracted in wrapping
-///     arithmetic, which is exact (see int8dot.cc);
+///   - kAvx2Vnni and kAvx512: 32-code chunks through
+///     _mm256_dpbusd_avx_epi32, with the row made unsigned (c + 128) and
+///     128 * sum(q) subtracted in wrapping arithmetic, which is exact (see
+///     int8dot.cc);
 ///   - kAvx2: 16-code chunks sign-extended to int16 against queries widened
 ///     once per call (a heap copy: a caller that scans a corpus in steps
 ///     pays it per step), through _mm256_madd_epi16;

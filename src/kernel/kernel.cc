@@ -23,7 +23,7 @@ std::unique_ptr<ThreadPool> pool;          // Guarded by pool_mu.
 int configured_threads = 0;                // 0 = resolve default on first use.
 
 // ActiveIsa()'s ceiling: the top level unless a ScopedIsa lowers it.
-std::atomic<Isa> isa_cap{Isa::kAvx2Vnni};
+std::atomic<Isa> isa_cap{Isa::kAvx512};
 
 // True while the current thread is executing inside a ParallelFor body;
 // nested kernels then run inline instead of re-entering the pool.
@@ -77,6 +77,8 @@ const char* IsaName(Isa isa) {
       return "avx2";
     case Isa::kAvx2Vnni:
       return "avx2_vnni";
+    case Isa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -86,7 +88,12 @@ Isa CpuIsa() {
 #if defined(__x86_64__)
     __builtin_cpu_init();  // CpuIsa may run before libgcc's constructor.
     if (!__builtin_cpu_supports("avx2")) return Isa::kPortable;
-    return __builtin_cpu_supports("avxvnni") ? Isa::kAvx2Vnni : Isa::kAvx2;
+    if (!__builtin_cpu_supports("avxvnni")) return Isa::kAvx2;
+    const bool avx512 = __builtin_cpu_supports("avx512f") &&
+                        __builtin_cpu_supports("avx512bw") &&
+                        __builtin_cpu_supports("avx512vl") &&
+                        __builtin_cpu_supports("avx512vnni");
+    return avx512 ? Isa::kAvx512 : Isa::kAvx2Vnni;
 #else
     return Isa::kPortable;
 #endif

@@ -38,22 +38,25 @@ enum class Isa {
   kPortable,  // Plain loops (SSE2 auto-vectorised on x86-64).
   kAvx2,      // AVX2, never FMA (see Gemm).
   kAvx2Vnni,  // AVX2 plus AVX-VNNI's 256-bit vpdpbusd (the int8 scan).
+  kAvx512,    // kAvx2Vnni plus AVX-512 F, BW, VL and VNNI (Gemm's tile).
 };
 
 /// Every level, lowest first.
 inline constexpr Isa kAllIsas[] = {Isa::kPortable, Isa::kAvx2,
-                                   Isa::kAvx2Vnni};
+                                   Isa::kAvx2Vnni, Isa::kAvx512};
 
-/// "portable", "avx2" or "avx2_vnni".
+/// "portable", "avx2", "avx2_vnni" or "avx512".
 const char* IsaName(Isa isa);
 
 /// The CPU's level (kPortable off x86-64), resolved once per process.
 Isa CpuIsa();
 
 /// The level every kernel dispatches on, read at each call: CpuIsa(),
-/// unless a test caps it (internal::ScopedIsa). Gemm and the quantized
-/// backend's selection pass use AVX2 from kAvx2 up, Int8ScanRows has a
-/// tile per level, and TopK's cutoff test is SSE2 above kPortable.
+/// unless a test caps it (internal::ScopedIsa). Gemm has an AVX2 tile at
+/// kAvx2 and kAvx2Vnni and a 512-bit one at kAvx512, the quantized
+/// backend's selection pass uses AVX2 from kAvx2 up, Int8ScanRows has a
+/// tile per level below kAvx512 and runs the VNNI one there, and TopK's
+/// cutoff test is SSE2 above kPortable.
 Isa ActiveIsa();
 
 /// Number of fixed-size chunks `ParallelFor` splits [0, n) into. Depends

@@ -15,6 +15,9 @@ namespace {
 /// deployment is garbage, not a big request.
 constexpr int64_t kMaxK = 1 << 20;
 
+/// One hit of a query response on the wire: i64 index + f32 score.
+constexpr size_t kHitBytes = 12;
+
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -52,6 +55,38 @@ std::string WrapFrame(MessageType type, const std::string& payload) {
   return out;
 }
 
+/// Reads a payload in place, front to back. A read past the end fails
+/// with io::wire::Reader's kDataLoss message.
+class PayloadCursor {
+ public:
+  explicit PayloadCursor(const std::string& payload)
+      : at_(payload.data()), end_(payload.data() + payload.size()) {}
+
+  /// kDataLoss unless at least `n` bytes are left.
+  Status Need(size_t n) const {
+    const size_t left = static_cast<size_t>(end_ - at_);
+    if (n <= left) return Status::Ok();
+    return Status::DataLoss("truncated stream: wanted " + std::to_string(n) +
+                            " bytes, got " + std::to_string(left));
+  }
+
+  /// Copies the next `n` bytes to `p`; the caller has checked Need.
+  void Take(void* p, size_t n) {
+    std::memcpy(p, at_, n);
+    at_ += n;
+  }
+
+  Status Read(void* p, size_t n) {
+    ADAMINE_RETURN_IF_ERROR(Need(n));
+    Take(p, n);
+    return Status::Ok();
+  }
+
+ private:
+  const char* at_;
+  const char* end_;
+};
+
 bool ValidType(uint8_t type) {
   return type >= static_cast<uint8_t>(MessageType::kQueryRequest) &&
          type <= static_cast<uint8_t>(MessageType::kInfoResponse);
@@ -84,14 +119,29 @@ std::string EncodeQueryResponse(const QueryResponse& response) {
   writer.WriteU32(static_cast<uint32_t>(message.size()));
   writer.WriteBytes(message.data(), message.size());
   if (response.status.ok()) {
-    writer.WriteI64(static_cast<int64_t>(response.results.size()));
+    // The rows go out as one block: per row an i64 hit count, then per hit
+    // an i64 index and an f32 score, built in memory and written once.
+    size_t bytes = sizeof(int64_t);
     for (const std::vector<serve::ScoredHit>& row : response.results) {
-      writer.WriteI64(static_cast<int64_t>(row.size()));
+      bytes += sizeof(int64_t) + row.size() * kHitBytes;
+    }
+    std::string block(bytes, '\0');
+    char* out = block.data();
+    const auto put = [&out](const void* p, size_t n) {
+      std::memcpy(out, p, n);
+      out += n;
+    };
+    const int64_t rows = static_cast<int64_t>(response.results.size());
+    put(&rows, sizeof(rows));
+    for (const std::vector<serve::ScoredHit>& row : response.results) {
+      const int64_t count = static_cast<int64_t>(row.size());
+      put(&count, sizeof(count));
       for (const serve::ScoredHit& hit : row) {
-        writer.WriteI64(hit.index);
-        writer.WriteBytes(&hit.score, sizeof(hit.score));
+        put(&hit.index, sizeof(hit.index));
+        put(&hit.score, sizeof(hit.score));
       }
     }
+    writer.WriteRaw(block.data(), block.size());
   }
   return WrapFrame(MessageType::kQueryResponse, os.str());
 }
@@ -161,63 +211,56 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
 }
 
 StatusOr<QueryResponse> DecodeQueryResponse(const std::string& payload) {
-  std::istringstream is(payload);
-  io::wire::Reader reader(is);
+  // Read in place, not through a stream Reader: a 64-row response carries
+  // 640 hits, and the frame trailer already covers every byte.
+  PayloadCursor in(payload);
   QueryResponse response;
-  auto id = reader.ReadU64();
-  if (!id.ok()) return id.status();
-  response.request_id = *id;
-  auto code = reader.ReadU32();
-  if (!code.ok()) return code.status();
-  if (*code >= static_cast<uint32_t>(kNumStatusCodes)) {
+  ADAMINE_RETURN_IF_ERROR(
+      in.Read(&response.request_id, sizeof(response.request_id)));
+  uint32_t code = 0;
+  ADAMINE_RETURN_IF_ERROR(in.Read(&code, sizeof(code)));
+  if (code >= static_cast<uint32_t>(kNumStatusCodes)) {
     return Status::DataLoss("query response: unknown status code " +
-                            std::to_string(*code));
+                            std::to_string(code));
   }
-  auto message_len = reader.ReadU32();
-  if (!message_len.ok()) return message_len.status();
-  if (*message_len > payload.size()) {
+  uint32_t message_len = 0;
+  ADAMINE_RETURN_IF_ERROR(in.Read(&message_len, sizeof(message_len)));
+  if (message_len > payload.size()) {
     return Status::DataLoss("query response: implausible message length");
   }
-  std::string message(*message_len, '\0');
-  if (*message_len > 0) {
-    ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(message.data(), *message_len));
-  }
-  const StatusCode status_code = static_cast<StatusCode>(*code);
+  std::string message(message_len, '\0');
+  ADAMINE_RETURN_IF_ERROR(in.Read(message.data(), message_len));
+  const StatusCode status_code = static_cast<StatusCode>(code);
   if (status_code != StatusCode::kOk) {
     response.status = Status(status_code, std::move(message));
     return response;
   }
-  auto rows = reader.ReadI64();
-  if (!rows.ok()) return rows.status();
+  int64_t rows = 0;
+  ADAMINE_RETURN_IF_ERROR(in.Read(&rows, sizeof(rows)));
   // Every row costs at least its 8-byte count on the wire; a larger
   // announcement than the payload can hold is garbage, caught before the
-  // reserve.
-  if (*rows < 0 || static_cast<uint64_t>(*rows) > payload.size() / 8) {
+  // allocation.
+  if (rows < 0 || static_cast<uint64_t>(rows) > payload.size() / 8) {
     return Status::DataLoss("query response: implausible row count " +
-                            std::to_string(*rows));
+                            std::to_string(rows));
   }
-  response.results.reserve(static_cast<size_t>(*rows));
-  constexpr size_t kHitBytes = 12;  // i64 index + f32 score.
-  for (int64_t r = 0; r < *rows; ++r) {
-    auto count = reader.ReadI64();
-    if (!count.ok()) return count.status();
-    if (*count < 0 ||
-        static_cast<uint64_t>(*count) > payload.size() / kHitBytes) {
+  response.results.resize(static_cast<size_t>(rows));
+  for (std::vector<serve::ScoredHit>& row : response.results) {
+    int64_t count = 0;
+    ADAMINE_RETURN_IF_ERROR(in.Read(&count, sizeof(count)));
+    if (count < 0 ||
+        static_cast<uint64_t>(count) > payload.size() / kHitBytes) {
       return Status::DataLoss("query response: implausible hit count " +
-                              std::to_string(*count));
+                              std::to_string(count));
     }
-    std::vector<serve::ScoredHit> row;
-    row.reserve(static_cast<size_t>(*count));
-    for (int64_t h = 0; h < *count; ++h) {
-      serve::ScoredHit hit;
-      auto index = reader.ReadI64();
-      if (!index.ok()) return index.status();
-      hit.index = *index;
-      ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(&hit.score,
-                                               sizeof(hit.score)));
-      row.push_back(hit);
+    // The hit-count bound: all of the row's hits are in the payload, so
+    // the unchecked reads below stay inside it.
+    ADAMINE_RETURN_IF_ERROR(in.Need(static_cast<size_t>(count) * kHitBytes));
+    row.resize(static_cast<size_t>(count));
+    for (serve::ScoredHit& hit : row) {
+      in.Take(&hit.index, sizeof(hit.index));
+      in.Take(&hit.score, sizeof(hit.score));
     }
-    response.results.push_back(std::move(row));
   }
   return response;
 }

@@ -173,19 +173,22 @@ std::shared_ptr<ShardClient::Attempt> ShardClient::Launch(
     std::vector<std::vector<ScoredHit>> results;
     // Replica-scoped fault points first, then the fleet-wide bare points
     // (short-circuit: a scoped kill does not consume the bare schedule).
-    const std::string scoped_fail =
-        fault::ShardReplicaPoint(fault::kServeShardFail, shard, replica);
-    if (fault::ShouldFail(scoped_fail) ||
-        fault::ShouldFail(fault::kServeShardFail)) {
+    // The scoped names are built only while some point is armed.
+    const bool armed = fault::AnyArmed();
+    if (armed && (fault::ShouldFail(fault::ShardReplicaPoint(
+                      fault::kServeShardFail, shard, replica)) ||
+                  fault::ShouldFail(fault::kServeShardFail))) {
       status = Status::Unavailable("injected fault " +
                                    std::string(fault::kServeShardFail) +
                                    " at shard " + std::to_string(shard) +
                                    " replica " + std::to_string(replica));
     } else {
-      const std::string scoped_delay =
-          fault::ShardReplicaPoint(fault::kServeShardDelay, shard, replica);
-      int64_t stall_ms = fault::ArmedSkip(scoped_delay);
-      if (stall_ms < 0) stall_ms = fault::ArmedSkip(fault::kServeShardDelay);
+      int64_t stall_ms = -1;
+      if (armed) {
+        stall_ms = fault::ArmedSkip(
+            fault::ShardReplicaPoint(fault::kServeShardDelay, shard, replica));
+        if (stall_ms < 0) stall_ms = fault::ArmedSkip(fault::kServeShardDelay);
+      }
       if (stall_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
       }

@@ -66,18 +66,20 @@ void Reset() {
   r.hits.clear();
 }
 
-bool IsArmed(const std::string& point) {
+bool IsArmed(std::string_view point) {
   if (!AnyArmed()) return false;
+  const std::string key(point);
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
-  return r.armed.find(point) != r.armed.end();
+  return r.armed.find(key) != r.armed.end();
 }
 
-int64_t ArmedSkip(const std::string& point) {
+int64_t ArmedSkip(std::string_view point) {
   if (!AnyArmed()) return -1;
+  const std::string key(point);
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.armed.find(point);
+  auto it = r.armed.find(key);
   return it == r.armed.end() ? -1 : it->second.skip;
 }
 
@@ -85,12 +87,13 @@ bool AnyArmed() {
   return g_armed_count.load(std::memory_order_relaxed) > 0;
 }
 
-bool ShouldFail(const std::string& point) {
+bool ShouldFail(std::string_view point) {
   if (!AnyArmed()) return false;
+  const std::string key(point);
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
-  ++r.hits[point];
-  auto it = r.armed.find(point);
+  ++r.hits[key];
+  auto it = r.armed.find(key);
   if (it == r.armed.end()) return false;
   Schedule& s = it->second;
   if (s.skip > 0) {

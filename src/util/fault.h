@@ -5,6 +5,7 @@
 #include <limits>
 #include <streambuf>
 #include <string>
+#include <string_view>
 
 namespace adamine::fault {
 
@@ -12,8 +13,9 @@ namespace adamine::fault {
 /// simulate crashes and numeric corruption at precise moments. Production
 /// code calls ShouldFail(point) at interesting boundaries (every serialised
 /// write, every checkpoint, every batch); the call is a single relaxed
-/// atomic load unless a test has armed at least one point, so leaving the
-/// hooks in release builds costs nothing measurable.
+/// atomic load unless a test has armed at least one point, and allocates
+/// nothing (the lookups take a string_view and build no key before it), so
+/// leaving the hooks in release builds costs nothing measurable.
 ///
 /// Well-known failure points. Using the constants (rather than ad-hoc
 /// strings) keeps the producer and the test in sync.
@@ -141,13 +143,13 @@ void Disarm(const std::string& point);
 void Reset();
 
 /// True if `point` currently has a schedule.
-bool IsArmed(const std::string& point);
+bool IsArmed(std::string_view point);
 
 /// Remaining skip count of an armed point, or -1 if not armed. Points whose
 /// schedule encodes a quantity rather than a countdown (e.g.
 /// kAtomicWriteBytes, where `skip` is the byte budget before writes start
 /// failing) are read through this.
-int64_t ArmedSkip(const std::string& point);
+int64_t ArmedSkip(std::string_view point);
 
 /// True if any point is armed (the registry fast path).
 bool AnyArmed();
@@ -156,7 +158,7 @@ bool AnyArmed();
 /// hit. When nothing at all is armed this is a single atomic load; when the
 /// registry is active, every hit is also counted so tests can enumerate the
 /// failure boundaries of an operation (see Hits).
-bool ShouldFail(const std::string& point);
+bool ShouldFail(std::string_view point);
 
 /// Number of ShouldFail calls at `point` since the last Reset, counted only
 /// while the registry is active (i.e. at least one point armed). Arm an

@@ -23,6 +23,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -497,6 +498,50 @@ TEST_P(BackendGoldenTest, ProbeDialStatusMatchesTraits) {
     ASSERT_TRUE(backend->SetProbes(backend->max_probes()).ok());
     EXPECT_EQ(backend->probes(), backend->max_probes());
     EXPECT_TRUE(backend->exact());  // Every list probed == exact.
+  }
+}
+
+// --- Concurrent calls on one instance -----------------------------------
+
+TEST(ExhaustiveBackendGoldenTest, ConcurrentBatchesOfEverySizeMatchScalar) {
+  // Four threads share one exhaustive backend, each scoring its own batch
+  // size over and over, so the calls overlap and pass score buffers of
+  // different sizes to one another through the backend's free list. Every
+  // answer must still be the scalar oracle's, bit for bit.
+  serve::BackendConfig config;
+  config.items = ClusteredUnitRows(12, 25, 16, 41);
+  const Tensor queries = ClusteredUnitRows(8, 8, 16, 42);
+  constexpr int64_t kTop = 10;
+  constexpr int kRounds = 25;
+  const std::vector<int64_t> sizes = {1, 17, 32, 64};
+  auto scalar = serve::CreateBackend("scalar", config);
+  auto exhaustive = serve::CreateBackend("exhaustive", config);
+  ASSERT_TRUE(scalar.ok() && exhaustive.ok());
+  std::vector<Tensor> batches;
+  std::vector<std::vector<std::vector<serve::ScoredHit>>> want;
+  for (const int64_t size : sizes) {
+    batches.push_back(RowSlice(queries, 0, size));
+    want.push_back(MustScore(**scalar, batches.back(), kTop));
+  }
+  ThreadGuard guard(2);
+  std::vector<std::string> failures(sizes.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < sizes.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds && failures[t].empty(); ++round) {
+        const ::testing::AssertionResult same =
+            SameTopK(want[t], MustScore(**exhaustive, batches[t], kTop));
+        if (!same) {
+          failures[t] = "batch of " + std::to_string(sizes[t]) +
+                        " rows, round " + std::to_string(round) + ": " +
+                        same.message();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
   }
 }
 

@@ -229,12 +229,16 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, GemmIsaTest,
 
 TEST_P(GemmIsaTest, AllTransposeVariantsMatchNaiveBitsAtEveryWidth) {
   // The level's micro-kernel against the reference. The sizes straddle the
-  // 4-row tile, the 16-column panel and the 32-row chunk, so every partial
-  // tile, zero-padded panel tail and transposed store is hit; n = 101 splits
-  // the corpus-row loop of queries x corpus^T into three full chunks and a
-  // ragged one. k = 1 is the shortest chain and 128 the serving width.
-  const int64_t ms[] = {1, 3, 4, 5, 16, 17, 33};
-  const int64_t ns[] = {1, 15, 16, 17, 29, 101};
+  // 4- and 8-row tiles, the 16-column panel, the two-panel tile and the
+  // 32-row chunk, so every tile height 1-8, partial tile, zero-padded panel
+  // tail and transposed store is hit. In queries x corpus^T, n counts the
+  // streamed rows: 7, 8 and 9 give heights 7, 8 and 8 + 1, and n = 101
+  // splits the row loop into three full chunks and a ragged one; m = 32 is
+  // the serving batch (one full panel pair), 31 a pair with a partial
+  // panel and 48 a pair plus a one-panel tile. k = 1 is the shortest chain
+  // and 128 the serving width.
+  const int64_t ms[] = {1, 3, 4, 5, 16, 17, 31, 32, 33, 48};
+  const int64_t ns[] = {1, 7, 8, 9, 15, 16, 17, 29, 101};
   const int64_t ks[] = {1, 47, 128};
   Rng rng(3);
   for (int64_t m : ms) {

@@ -89,6 +89,49 @@ TEST(NetFrameTest, QueryResponseRoundTripsResults) {
   EXPECT_EQ(back->results, response.results);
 }
 
+TEST(NetFrameTest, QueryResponsePayloadIsTheDocumentedLayout) {
+  // The payload spelled out field by field: u64 id, u32 code, u32 message
+  // length, i64 rows, then per row an i64 hit count and per hit an i64
+  // index and an f32 score. The encoder must write exactly these bytes and
+  // the decoder must read them back.
+  net::QueryResponse response;
+  response.request_id = 0x0123456789ABCDEFull;
+  response.results = {{{7, 0.25f}, {int64_t{1} << 40, -0.125f}},
+                      {},
+                      {{0, 1.0f}, {5, 0.5f}, {2, 0.5f}}};
+  std::string want;
+  const auto put = [&want](const auto& value) {
+    want.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(uint64_t{0x0123456789ABCDEFull});
+  put(uint32_t{0});  // StatusCode::kOk.
+  put(uint32_t{0});  // An empty message.
+  put(int64_t{3});
+  for (const std::vector<serve::ScoredHit>& row : response.results) {
+    put(static_cast<int64_t>(row.size()));
+    for (const serve::ScoredHit& hit : row) {
+      put(int64_t{hit.index});
+      put(float{hit.score});
+    }
+  }
+  EXPECT_EQ(PayloadOf(EncodeQueryResponse(response),
+                      MessageType::kQueryResponse),
+            want);
+  auto back = DecodeQueryResponse(want);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->status.ok());
+  EXPECT_EQ(back->request_id, response.request_id);
+  EXPECT_EQ(back->results, response.results);
+  // Every strict prefix stops inside some field, which must surface as
+  // kDataLoss, never as a short or garbage answer.
+  for (size_t length = 0; length < want.size(); ++length) {
+    auto cut = DecodeQueryResponse(want.substr(0, length));
+    ASSERT_FALSE(cut.ok()) << "prefix of " << length << " bytes decoded";
+    EXPECT_EQ(cut.status().code(), StatusCode::kDataLoss)
+        << "prefix of " << length << " bytes: " << cut.status().ToString();
+  }
+}
+
 TEST(NetFrameTest, QueryResponseRoundTripsErrorStatus) {
   net::QueryResponse response;
   response.request_id = 11;
