@@ -10,9 +10,10 @@
 // (see DESIGN.md, "Kernel execution layer"), only the wall clock, so the
 // sweep is a pure scaling measurement. GEMM and the int8 scan carry a third,
 // the kernel::Isa level they are capped at (0 portable, 1 avx2, 2
-// avx2_vnni, 3 avx512), so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread,
-// AVX-VNNI"; a level the CPU lacks is skipped, its row naming the missing
-// level. BM_QuantizedScore takes the level as its only argument. The level
+// avx2_vnni, 3 avx512, 4 amx; GEMM stops at 3, whose tile it runs at amx),
+// so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread, AVX-VNNI"; a level
+// the CPU lacks is skipped, its row naming the missing level.
+// BM_QuantizedScore takes the level as its only argument. The level
 // changes no bits either, so
 //
 //   build/bench/bench_kernels --benchmark_filter='BM_Int8Scan/.*/1/'
@@ -121,8 +122,8 @@ BENCHMARK(BM_GemmTransB)
     ->Unit(benchmark::kMicrosecond);
 
 /// The quantized backend's scan at the bulk-quantized shape: 10,000 rows of
-/// 128 int8 codes (1.25 MiB) against 1 or 4 queries in one pass. Bytes/s
-/// counts code bytes scored, each byte once per query, so the two query
+/// 128 int8 codes (1.25 MiB) against 1, 4 or 16 queries in one call.
+/// Bytes/s counts code bytes scored, each byte once per query, so the query
 /// counts read on one scale.
 void BM_Int8Scan(benchmark::State& state) {
   const int64_t rows = 10000;
@@ -144,7 +145,7 @@ void BM_Int8Scan(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * queries * rows * dim);
 }
-BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4}, {1, 4}, {0, 1, 2, 3}});
+BENCHMARK(BM_Int8Scan)->ArgsProduct({{1, 4, 16}, {1, 4}, {0, 1, 2, 3, 4}});
 
 /// `rows` L2-normalised image features of the recipe generator (192 Zipf
 /// classes, d = 128), so the rows cluster as in the serving benchmark.
@@ -168,7 +169,8 @@ Tensor ImageFeatureRows(int64_t rows, uint64_t seed) {
 /// One quantized backend call of 32 query rows at the bulk-quantized shape:
 /// 10,000 x 128 image-feature rows, k = 10, rerank_factor 4, one pool
 /// thread. The argument is the kernel::Isa level the call is capped at
-/// (0 portable, 1 avx2, 2 avx2_vnni, 3 avx512), which changes no bits, so
+/// (0 portable, 1 avx2, 2 avx2_vnni, 3 avx512, 4 amx), which changes no
+/// bits, so
 ///
 ///   build/bench/bench_kernels --benchmark_filter='BM_QuantizedScore/'
 ///
@@ -191,7 +193,7 @@ void BM_QuantizedScore(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kQueries);
 }
-BENCHMARK(BM_QuantizedScore)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QuantizedScore)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// Top-10 selection from a query block's [m, n] score matrix, at the two
 /// serving shapes: an rpc-fanout shard dispatch (32 queries x 3,000 rows)

@@ -10,15 +10,19 @@ Run from anywhere inside a checkout:
     python3 scripts/ab.py --self-test
 
 It extracts REF with `git archive` into .bench_build/ab/parent (no
-worktree, nothing written to .git), builds that tree and the working tree
-into separate CARGO_TARGET_DIRs (.bench_build/ab/parent-target and
-.bench_build/ab/change-target), then runs servebench/run.py of each tree
-for N pairs at BENCHMARK.json's run_seconds (--seconds overrides it for a
-quick look). Pair i uses the i-th seed of --seeds, cycling, and runs every
-workload once per side; even pairs run the parent first, odd pairs the
-change first, so slow drift of the host falls on both sides alike. Every
-run's result line is printed as it arrives and kept in
-.bench_build/ab/runs-<time>.jsonl.
+worktree, nothing written to .git) and copies the working tree's tracked
+files, and its untracked files that are not ignored, into
+.bench_build/ab/change. It builds each snapshot into its own
+CARGO_TARGET_DIR (.bench_build/ab/parent-target and
+.bench_build/ab/change-target), then runs servebench/run.py of each
+snapshot for N pairs at BENCHMARK.json's run_seconds (--seconds overrides
+it for a quick look). Both trees and both target dirs sit at paths of
+equal length, so the two binaries differ only in the code they were
+built from, not in the length of the paths compiled into them. Pair i
+uses the i-th seed of --seeds, cycling, and runs every workload once per
+side; even pairs run the parent first, odd pairs the change first, so
+slow drift of the host falls on both sides alike. Every run's result line
+is printed as it arrives and kept in .bench_build/ab/runs-<time>.jsonl.
 
 The summary has one row per workload and metric: each side's median and
 quartiles (statistics.quantiles, n=4), the change's median relative to the
@@ -43,12 +47,14 @@ Per-layer metrics (--trace 1) carry no bounds; their verdict is "-".
 trajectory is bench/ledger.jsonl): the parent's sha, the change's (HEAD
 at run time, with "change_dirty" true when the working tree differed from
 it) and each side's servebench source id, the seeds, run_seconds, the
-machine (CPU model, nproc, pool width) and each side's int8_isa from the
+machine (CPU brand, nproc, pool width) and each side's int8_isa from the
 servebench fingerprints, and one row per workload and metric with both
 sides' median, q1 and q3, the wins, failed/attempted per side and the
-verdict. Compare lines only when their machine fields agree. --self-test
-checks the statistics, the line format, and every line of
-bench/ledger.jsonl.
+verdict. The machine also names the CPU by its family, model and stepping
+from /proc/cpuinfo (cpu_family, cpu_model, cpu_stepping), which the brand
+string often does not; lines written before these keys lack them. Compare
+lines only when their machine fields agree. --self-test checks the
+statistics, the line format, and every line of bench/ledger.jsonl.
 """
 
 import argparse
@@ -60,6 +66,7 @@ import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AB_DIR = os.path.join(ROOT, ".bench_build", "ab")
@@ -67,6 +74,10 @@ LEDGER = os.path.join(ROOT, "bench", "ledger.jsonl")
 WIN_SHARE = 0.9  # A claim needs at least 9 wins in every 10 pairs.
 # The servebench fingerprint fields a ledger line records per side.
 MACHINE_KEYS = ("cpu", "nproc", "pool_threads")
+# The CPU's identity from /proc/cpuinfo: ledger key and cpuinfo field. Lines
+# written before these keys lack them.
+CPU_ID_KEYS = (("cpu_family", "cpu family"), ("cpu_model", "model"),
+               ("cpu_stepping", "stepping"))
 
 
 def fail(message):
@@ -132,6 +143,45 @@ def extract_parent(ref):
     if archive.wait():
         fail("git archive %s failed" % ref)
     return tree
+
+
+def snapshot_change():
+    """Copies the working tree's tracked files, and its untracked files that
+    are not ignored, into AB_DIR/change, as extract_parent fills
+    AB_DIR/parent; returns the directory."""
+    tree = os.path.join(AB_DIR, "change")
+    shutil.rmtree(tree, ignore_errors=True)
+    os.makedirs(tree)
+    listing = subprocess.run(["git", "-C", ROOT, "ls-files", "-co",
+                              "--exclude-standard", "-z"],
+                             capture_output=True)
+    if listing.returncode:
+        fail("git ls-files failed in %s" % ROOT)
+    for name in listing.stdout.decode().split("\0"):
+        source = os.path.join(ROOT, name)
+        if not name or not os.path.lexists(source):
+            continue  # A tracked file deleted in the working tree.
+        dest = os.path.join(tree, name)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        shutil.copy2(source, dest, follow_symlinks=False)
+    return tree
+
+
+def cpu_id(path="/proc/cpuinfo"):
+    """The first processor's family, model and stepping, as CPU_ID_KEYS
+    names them; {} where the file or a field is missing."""
+    fields = {}
+    try:
+        with open(path) as f:
+            for line in f:
+                if not line.strip():
+                    break  # The end of the first processor's block.
+                key, _, value = line.partition(":")
+                fields[key.strip()] = value.strip()
+    except OSError:
+        return {}
+    return {key: int(fields[field]) for key, field in CPU_ID_KEYS
+            if fields.get(field, "").isdigit()}
 
 
 def run_once(tree, target, workload, seed, seconds, trace):
@@ -269,6 +319,7 @@ def ledger_line(args, claims, seeds, seconds, runs, rows, parent_sha,
         for fingerprint in prints:
             if any(fingerprint[key] != machine[key] for key in MACHINE_KEYS):
                 fail("the %s runs ran on differing machines" % side)
+    machine.update(cpu_id())
     return {
         "date": datetime.datetime.now(datetime.timezone.utc)
                 .strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -321,6 +372,10 @@ def ledger_problems(text):
     for key in MACHINE_KEYS:
         if key not in line["machine"]:
             problems.append("machine.%s: missing" % key)
+    for key, _ in CPU_ID_KEYS:
+        value = line["machine"].get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            problems.append("machine.%s: want int, got %r" % (key, value))
     if len(line["seeds"]) != line["pairs"] or not all(
             isinstance(seed, int) for seed in line["seeds"]):
         problems.append("seeds: want one integer per pair")
@@ -406,6 +461,21 @@ def self_test():
     line = ledger_line(args, claims, [41, 42], 30, runs, rows, "a" * 40,
                        "b" * 40, False)
     text = json.dumps(line)
+    # The CPU's identity, from a cpuinfo-shaped file: the first processor's
+    # block only.
+    with tempfile.TemporaryDirectory() as scratch:
+        cpuinfo = os.path.join(scratch, "cpuinfo")
+        with open(cpuinfo, "w") as f:
+            f.write("processor\t: 0\ncpu family\t: 6\nmodel\t\t: 207\n"
+                    "model name\t: Intel(R) Xeon(R) Processor\n"
+                    "stepping\t: 2\n\nprocessor\t: 1\nmodel\t\t: 99\n")
+        checks += [
+            (cpu_id(cpuinfo), {"cpu_family": 6, "cpu_model": 207,
+                               "cpu_stepping": 2}),
+            (cpu_id(os.path.join(scratch, "missing")), {}),
+        ]
+    line["machine"].update(cpu_family=6, cpu_model=207, cpu_stepping=2)
+    text = json.dumps(line)
     checks += [
         (ledger_problems(text), []),
         (rows[0]["verdict"], "claim passes"),
@@ -417,7 +487,9 @@ def self_test():
     broken = [dict(line, pairs="10"), dict(line, rows=[]),
               dict(line, machine={}), dict(line, seeds=[41]),
               dict(line, int8_isa={"parent": "avx2"}),
-              dict(line, rows=[dict(rows[0], wins=None)])]
+              dict(line, rows=[dict(rows[0], wins=None)]),
+              dict(line, machine=dict(line["machine"], cpu_model="207")),
+              dict(line, machine=dict(line["machine"], cpu_family=True))]
     checks += [(bool(ledger_problems(json.dumps(b))), True) for b in broken]
     checks.append((bool(ledger_problems("{")), True))
     if os.path.exists(LEDGER):
@@ -481,7 +553,8 @@ def main():
 
     sides = {"parent": (extract_parent(args.parent),
                         os.path.join(AB_DIR, "parent-target")),
-             "change": (ROOT, os.path.join(AB_DIR, "change-target"))}
+             "change": (snapshot_change(),
+                        os.path.join(AB_DIR, "change-target"))}
     # A one-second run per side builds its tree before any timed run.
     for side, (tree, target) in sides.items():
         if run_once(tree, target, workloads[0], seeds[0], 1, 0) is None:

@@ -7,6 +7,11 @@
 #include <mutex>
 #include <thread>
 
+#if defined(__x86_64__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include "kernel/thread_pool.h"
 #include "util/check.h"
 
@@ -23,7 +28,7 @@ std::unique_ptr<ThreadPool> pool;          // Guarded by pool_mu.
 int configured_threads = 0;                // 0 = resolve default on first use.
 
 // ActiveIsa()'s ceiling: the top level unless a ScopedIsa lowers it.
-std::atomic<Isa> isa_cap{Isa::kAvx512};
+std::atomic<Isa> isa_cap{Isa::kAmx};
 
 // True while the current thread is executing inside a ParallelFor body;
 // nested kernels then run inline instead of re-entering the pool.
@@ -79,6 +84,8 @@ const char* IsaName(Isa isa) {
       return "avx2_vnni";
     case Isa::kAvx512:
       return "avx512";
+    case Isa::kAmx:
+      return "amx";
   }
   return "unknown";
 }
@@ -93,7 +100,18 @@ Isa CpuIsa() {
                         __builtin_cpu_supports("avx512bw") &&
                         __builtin_cpu_supports("avx512vl") &&
                         __builtin_cpu_supports("avx512vnni");
-    return avx512 ? Isa::kAvx512 : Isa::kAvx2Vnni;
+    if (!avx512) return Isa::kAvx2Vnni;
+    if (!__builtin_cpu_supports("amx-tile") ||
+        !__builtin_cpu_supports("amx-int8")) {
+      return Isa::kAvx512;
+    }
+    // Linux hands out the 8 KB tile state only on request, once per
+    // process; every thread, the pool's included, then may use it.
+    constexpr int kArchReqXcompPerm = 0x1023;
+    constexpr int kXfeatureXtiledata = 18;
+    const bool permitted =
+        syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+    return permitted ? Isa::kAmx : Isa::kAvx512;
 #else
     return Isa::kPortable;
 #endif

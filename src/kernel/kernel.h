@@ -39,23 +39,27 @@ enum class Isa {
   kAvx2,      // AVX2, never FMA (see Gemm).
   kAvx2Vnni,  // AVX2 plus AVX-VNNI's 256-bit vpdpbusd (the int8 scan).
   kAvx512,    // kAvx2Vnni plus AVX-512 F, BW, VL and VNNI (Gemm's tile).
+  kAmx,       // kAvx512 plus AMX-TILE and AMX-INT8 (the int8 scan).
 };
 
 /// Every level, lowest first.
 inline constexpr Isa kAllIsas[] = {Isa::kPortable, Isa::kAvx2,
-                                   Isa::kAvx2Vnni, Isa::kAvx512};
+                                   Isa::kAvx2Vnni, Isa::kAvx512, Isa::kAmx};
 
-/// "portable", "avx2", "avx2_vnni" or "avx512".
+/// "portable", "avx2", "avx2_vnni", "avx512" or "amx".
 const char* IsaName(Isa isa);
 
-/// The CPU's level (kPortable off x86-64), resolved once per process.
+/// The CPU's level (kPortable off x86-64), resolved once per process. kAmx
+/// also needs the kernel's leave to use the tile registers, which the first
+/// call asks for once with arch_prctl(ARCH_REQ_XCOMP_PERM); a refusal
+/// leaves the process at kAvx512.
 Isa CpuIsa();
 
 /// The level every kernel dispatches on, read at each call: CpuIsa(),
 /// unless a test caps it (internal::ScopedIsa). Gemm has an AVX2 tile at
-/// kAvx2 and kAvx2Vnni and a 512-bit one at kAvx512, the quantized
+/// kAvx2 and kAvx2Vnni and a 512-bit one from kAvx512 up, the quantized
 /// backend's selection pass uses AVX2 from kAvx2 up, Int8ScanRows has a
-/// tile per level below kAvx512 and runs the VNNI one there, and TopK's
+/// tile per level but kAvx512, where it runs the VNNI one, and TopK's
 /// cutoff test is SSE2 above kPortable.
 Isa ActiveIsa();
 

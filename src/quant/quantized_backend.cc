@@ -1,7 +1,7 @@
 // The two-stage quantized scoring backend.
 //
-// Stage 1 scans the int8 codes (kernel::Int8ScanRows, one pass per block of
-// up to four queries) and turns each integer dot into a *score interval*
+// Stage 1 scans the int8 codes (kernel::Int8ScanRows, one call per block of
+// up to sixteen queries) and turns each integer dot into a *score interval*
 // [approx - E, approx + E] that provably contains the reference float-chain
 // score. Stage 2 gathers every row whose interval upper bound reaches the
 // k-th best lower bound (floored at rerank_factor * k rows) and reranks just
@@ -76,8 +76,8 @@ constexpr double kBoundMargin = 1e-9;
 /// Widest query block: the most queries one kernel call scores.
 constexpr int64_t kQueryBlock = kernel::kInt8ScanMaxQueries;
 
-/// Rows per streaming step: the block's dots (4 KB for four queries) stay
-/// in L1 between the scan and the selection.
+/// Rows per streaming step: the block's dots (16 KB for sixteen queries)
+/// stay in L1 between the scan and the selection.
 constexpr int64_t kRowBlock = 256;
 
 /// k-th largest value of a stream, branch-free: a min-heap of k slots
@@ -423,11 +423,11 @@ class QuantizedBackend final : public ScoringBackend {
     // Query blocks are independent, so the batch spreads over the kernel
     // pool; each block writes only its own hits rows, and its scan calls
     // (one row block each, inside one scan chunk) run sequentially within
-    // the block. Up to four queries share a scan of the codes, but a batch
-    // too small to hand every pool thread a full block uses narrower ones,
-    // so that 2-4 queries still run on 2-4 threads. The width changes no
-    // bits: the int8 dots are exact and each query's selection is its own,
-    // so results are bit-identical at every thread count.
+    // the block. Up to sixteen queries share a scan of the codes, but a
+    // batch too small to hand every pool thread a full block uses narrower
+    // ones, so that 2-4 queries still run on 2-4 threads. The width changes
+    // no bits: the int8 dots are exact and each query's selection is its
+    // own, so results are bit-identical at every thread count.
     const int64_t threads = kernel::NumThreads();
     const int64_t width =
         std::clamp((b + threads - 1) / threads, int64_t{1}, kQueryBlock);

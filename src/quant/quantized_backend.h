@@ -40,7 +40,7 @@ struct Candidates {
   std::vector<int64_t> rows;
 };
 
-/// The backend's first stage for 1-4 queries, row-major [nq, corpus.dim]:
+/// The backend's first stage for 1-16 queries, row-major [nq, corpus.dim]:
 /// the int8 scan, each row's score interval and the streaming selection,
 /// at kernel::ActiveIsa(). Requires 1 <= take <= m <= corpus.rows. The
 /// backend calls it once per query block; it is declared here so tests can

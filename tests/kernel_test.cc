@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__x86_64__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -50,6 +55,30 @@ bool SameBits(const Tensor& a, const Tensor& b) {
   return std::memcmp(a.data(), b.data(),
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
+
+#if defined(__x86_64__)
+TEST(CpuIsaTest, AmxExactlyWhenTheCpuHasItAndLinuxGrantsTheTiles) {
+  __builtin_cpu_init();
+  const bool avx512 = __builtin_cpu_supports("avx2") &&
+                      __builtin_cpu_supports("avxvnni") &&
+                      __builtin_cpu_supports("avx512f") &&
+                      __builtin_cpu_supports("avx512bw") &&
+                      __builtin_cpu_supports("avx512vl") &&
+                      __builtin_cpu_supports("avx512vnni");
+  const bool amx = avx512 && __builtin_cpu_supports("amx-tile") &&
+                   __builtin_cpu_supports("amx-int8");
+  const kernel::Isa isa = kernel::CpuIsa();  // Asks for the tiles once.
+  // ARCH_GET_XCOMP_PERM: the xstate features this process may use, where
+  // bit 18 is the tile data.
+  uint64_t permitted = 0;
+  ASSERT_EQ(syscall(SYS_arch_prctl, 0x1022, &permitted), 0);
+  const bool granted = (permitted >> 18 & 1) != 0;
+  EXPECT_EQ(isa == kernel::Isa::kAmx, amx && granted)
+      << "cpu level " << kernel::IsaName(isa) << ", amx " << amx
+      << ", tiles granted " << granted;
+  EXPECT_EQ(isa >= kernel::Isa::kAvx512, avx512);
+}
+#endif
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (int width : kWidths) {

@@ -1,8 +1,9 @@
 // The quantized-scoring suite (ctest label `quant`): ref-vs-fast diffing of
-// the int8 scan at every ISA level (AVX-VNNI and AVX2 tiles, portable loop)
-// in the ggml test-backend-ops style — every length around the vector
-// widths, misaligned starts, adversarial code patterns, every query count —
-// plus the row-quantizer's
+// the int8 scan at every ISA level (AMX-INT8, AVX-VNNI and AVX2 tiles,
+// portable loop) in the ggml test-backend-ops style — every length around
+// the vector and tile widths, misaligned starts, adversarial code patterns,
+// every query count, codes that end at an unmapped page — and the AMX
+// tile state's release, plus the row-quantizer's
 // error-bound contract on hostile rows (denormal, max-magnitude, all-equal,
 // wildly mixed), the ADMQ on-disk format's corruption behaviour, and
 // end-to-end bit-identity of the quantized backend against the scalar
@@ -11,6 +12,8 @@
 // golden matrix by registration (tests/backend_golden_test.cc).
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -34,6 +37,11 @@
 #include "tensor/tensor.h"
 #include "util/check.h"
 #include "util/rng.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace adamine {
 namespace {
@@ -121,19 +129,22 @@ TEST_P(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
       ExpectOneRowScanMatchesRef(a->data(), b->data(), n);
     }
   }
-  // The same 16 pairs from one 4-row x 4-query scan: the full-width tile
-  // at the maximum length.
+  // The same 16 pairs from one 16-row x 4-query scan, each pattern four
+  // times: the full-width tile of every level, AMX's 16 rows included, at
+  // the maximum length.
   std::vector<int8_t> stacked;
-  for (const auto* p : patterns) {
-    stacked.insert(stacked.end(), p->begin(), p->end());
+  for (int copy = 0; copy < 4; ++copy) {
+    for (const auto* p : patterns) {
+      stacked.insert(stacked.end(), p->begin(), p->end());
+    }
   }
-  std::vector<int32_t> dots(16, -1);
-  kernel::Int8ScanRows(stacked.data(), 4, n, stacked.data(), 4, dots.data());
+  std::vector<int32_t> dots(64, -1);
+  kernel::Int8ScanRows(stacked.data(), 16, n, stacked.data(), 4, dots.data());
   for (int q = 0; q < 4; ++q) {
-    for (int r = 0; r < 4; ++r) {
-      EXPECT_EQ(dots[static_cast<size_t>(q * 4 + r)],
-                kernel::Int8DotRef(patterns[r]->data(), patterns[q]->data(),
-                                   n))
+    for (int r = 0; r < 16; ++r) {
+      EXPECT_EQ(dots[static_cast<size_t>(q * 16 + r)],
+                kernel::Int8DotRef(patterns[r % 4]->data(),
+                                   patterns[q]->data(), n))
           << "row " << r << " query " << q;
     }
   }
@@ -143,12 +154,13 @@ TEST_P(Int8DotTest, AdversarialCodePatternsAtMaxLength) {
   // (c + 128) * -128 <= 0 arrive. Every dot still fits in int32:
   // |127 * 128 * n| < 2^31.
   const std::vector<int8_t> all_neg128(static_cast<size_t>(n), int8_t{-128});
-  std::vector<int32_t> neg_dots(4, -1);
-  kernel::Int8ScanRows(stacked.data(), 4, n, all_neg128.data(), 1,
+  std::vector<int32_t> neg_dots(16, -1);
+  kernel::Int8ScanRows(stacked.data(), 16, n, all_neg128.data(), 1,
                        neg_dots.data());
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < 16; ++r) {
     EXPECT_EQ(neg_dots[static_cast<size_t>(r)],
-              kernel::Int8DotRef(patterns[r]->data(), all_neg128.data(), n))
+              kernel::Int8DotRef(patterns[r % 4]->data(), all_neg128.data(),
+                                 n))
         << "row " << r << " against a query of -128s";
   }
   // Spot-check one closed form: 127 * 127 * n.
@@ -161,12 +173,13 @@ INSTANTIATE_TEST_SUITE_P(AllLevels, Int8ScanRowsTest,
                          ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
 
 TEST_P(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
-  // Row counts around the tile heights (8 / queries) and past one parallel
-  // chunk; dims around the 16- and 32-code steps; every query count.
+  // Row counts around the tile heights (8 / queries, AMX's 16 and 32) and
+  // around one parallel chunk; dims around the 16- and 32-code steps, the
+  // 64-code AMX chunk and its four-code tail tile; every query count.
   Rng rng(107);
-  for (int64_t rows : {1, 2, 3, 5, 97, 600}) {
-    for (int64_t dim :
-         {1, 15, 16, 17, 31, 32, 33, 60, 63, 64, 65, 96, 128, 131}) {
+  for (int64_t rows : {1, 2, 3, 5, 16, 17, 97, 255, 256, 257, 600}) {
+    for (int64_t dim : {1, 4, 15, 16, 17, 31, 32, 33, 60, 63, 64, 65, 68, 96,
+                        128, 131, 192, 260}) {
       const std::vector<int8_t> codes = RandomCodes(rows * dim, &rng);
       const std::vector<int8_t> queries =
           RandomCodes(kernel::kInt8ScanMaxQueries * dim, &rng);
@@ -191,6 +204,126 @@ TEST_P(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
     }
   }
 }
+
+/// `size` bytes that end flush against an unmapped (PROT_NONE) page, so a
+/// read of one byte past them faults. AddressSanitizer cannot stand in for
+/// the page: it does not see the AMX tile loads, which are inline asm.
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(int64_t size) {
+    const int64_t page = sysconf(_SC_PAGESIZE);
+    const int64_t body = (size + page - 1) / page * page;
+    map_bytes_ = static_cast<size_t>(body + page);
+    void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ADAMINE_CHECK(map != MAP_FAILED);
+    map_ = static_cast<int8_t*>(map);
+    ADAMINE_CHECK(mprotect(map_ + body, static_cast<size_t>(page),
+                           PROT_NONE) == 0);
+    data_ = map_ + body - size;
+  }
+  ~GuardedBytes() { munmap(map_, map_bytes_); }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+
+  int8_t* data() { return data_; }
+
+ private:
+  int8_t* map_ = nullptr;
+  size_t map_bytes_ = 0;
+  int8_t* data_ = nullptr;
+};
+
+class Int8ScanGuardTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, Int8ScanGuardTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(Int8ScanGuardTest, ReadsNoBytePastTheCodesOrQueries) {
+  // Codes and queries each end at an unmapped page: a tile, vector or
+  // packing load past the last row, the last code of a row or the last
+  // query faults instead of passing. Row counts below, at and past the AMX
+  // tile's 16 rows; dims with every kind of tail: none, a four-code tail
+  // tile, codes past it, and no full chunk at all.
+  Rng rng(163);
+  for (int64_t rows : {1, 15, 16, 17, 33}) {
+    for (int64_t dim : {1, 4, 31, 60, 64, 68, 100, 128, 131}) {
+      GuardedBytes codes(rows * dim);
+      const std::vector<int8_t> random = RandomCodes(rows * dim, &rng);
+      std::copy(random.begin(), random.end(), codes.data());
+      for (int nq = 1; nq <= kernel::kInt8ScanMaxQueries; ++nq) {
+        GuardedBytes queries(nq * dim);
+        const std::vector<int8_t> q = RandomCodes(nq * dim, &rng);
+        std::copy(q.begin(), q.end(), queries.data());
+        std::vector<int32_t> got(static_cast<size_t>(nq * rows), -1);
+        kernel::Int8ScanRows(codes.data(), rows, dim, queries.data(), nq,
+                             got.data());
+        for (int qi = 0; qi < nq; ++qi) {
+          for (int64_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(got[static_cast<size_t>(qi * rows + r)],
+                      kernel::Int8DotRef(codes.data() + r * dim,
+                                         queries.data() + qi * dim, dim))
+                << "rows=" << rows << " dim=" << dim << " queries=" << nq
+                << " row " << r << " query " << qi;
+          }
+        }
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__)
+/// XINUSE (xgetbv with ecx = 1), whose bit 18 is set while the AMX tile
+/// data is live on this thread and clear once released.
+__attribute__((target("xsave"))) uint64_t XinUse() { return _xgetbv(1); }
+
+constexpr uint64_t kXtileData = uint64_t{1} << 18;
+
+TEST(Int8ScanAmxTest, ReleasesTheTilesBeforeReturning) {
+  if (kernel::CpuIsa() < kernel::Isa::kAmx) {
+    GTEST_SKIP() << "this CPU lacks amx";
+  }
+  // The probe sees live tile data: one tile load sets the bit, and a
+  // release clears it.
+  struct alignas(64) {
+    uint8_t palette = 1;
+    uint8_t start_row = 0;
+    uint8_t reserved[14] = {};
+    uint16_t colsb[16] = {64};
+    uint8_t rows[16] = {16};
+  } config;
+  alignas(64) int8_t block[16 * 64] = {1};
+  asm volatile("ldtilecfg %0" : : "m"(config));
+  asm volatile("tileloadd (%0,%1,1), %%tmm0"
+               :
+               : "r"(block), "r"(int64_t{64})
+               : "memory");
+  EXPECT_NE(XinUse() & kXtileData, 0u) << "a loaded tile reads as unused";
+  asm volatile("tilerelease" ::: "memory");
+  ASSERT_EQ(XinUse() & kXtileData, 0u);
+
+  // A scan on this thread leaves no live tile data: a call that ends in
+  // whole tiles and one whose last rows run on the AVX-VNNI tile, at a few
+  // query counts (one query runs no tile at all).
+  ThreadGuard guard(1);
+  kernel::internal::ScopedIsa isa(kernel::Isa::kAmx);
+  Rng rng(167);
+  const int64_t dim = 128;
+  const std::vector<int8_t> codes = RandomCodes(70 * dim, &rng);
+  const std::vector<int8_t> queries =
+      RandomCodes(kernel::kInt8ScanMaxQueries * dim, &rng);
+  std::vector<int32_t> dots(
+      static_cast<size_t>(kernel::kInt8ScanMaxQueries * 70));
+  for (int64_t rows : {64, 70}) {
+    for (int nq : {1, 2, kernel::kInt8ScanMaxQueries}) {
+      kernel::Int8ScanRows(codes.data(), rows, dim, queries.data(), nq,
+                           dots.data());
+      EXPECT_EQ(XinUse() & kXtileData, 0u)
+          << "tile data live after a " << rows << "-row, " << nq
+          << "-query scan";
+    }
+  }
+}
+#endif
 
 // --- QuantizeRows: the per-row error-bound contract ----------------------
 
@@ -476,11 +609,11 @@ quant::internal::Candidates FullPassSelection(
 }
 
 /// Diffs quant::internal::SelectCandidates, the backend's own selection
-/// stage, against FullPassSelection for blocks of 1-4 queries at every
+/// stage, against FullPassSelection for blocks of 1-16 queries at every
 /// k x rerank_factor pair: the cutoff's bits and the candidate rows.
 void ExpectSelectionMatchesFullPass(const Tensor& items,
                                     const Tensor& queries) {
-  ASSERT_GE(queries.rows(), 4);
+  ASSERT_GE(queries.rows(), kernel::kInt8ScanMaxQueries);
   auto corpus = quant::QuantizeRows(items);
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   const int64_t n = corpus->rows;
@@ -490,7 +623,7 @@ void ExpectSelectionMatchesFullPass(const Tensor& items,
       // The backend's take and m.
       const int64_t take = std::min(k, n);
       const int64_t m = std::min(n, rerank_factor * take);
-      for (int nq = 1; nq <= 4; ++nq) {
+      for (int nq = 1; nq <= kernel::kInt8ScanMaxQueries; ++nq) {
         const std::vector<quant::internal::Candidates> got =
             quant::internal::SelectCandidates(*corpus, queries.data(), nq,
                                               take, m);
@@ -528,11 +661,11 @@ TEST_P(QuantizedSelectionIsaTest, CutoffBitsAndCandidatesMatchAFullPass) {
     SCOPED_TRACE(::testing::Message()
                  << "mixed magnitude " << rows << " x 16");
     ExpectSelectionMatchesFullPass(MixedMagnitudeUnitRows(rows, 16, 131),
-                                   MixedMagnitudeUnitRows(4, 16, 137));
+                                   MixedMagnitudeUnitRows(16, 16, 137));
   }
   {
     SCOPED_TRACE("wide intervals 21 x 16");
-    Tensor queries = MixedMagnitudeUnitRows(4, 16, 139);
+    Tensor queries = MixedMagnitudeUnitRows(16, 16, 139);
     for (int64_t j = 0; j < 16; ++j) {
       queries.At(0, j) = j == 0 ? 1.0f : 0.0f;
       queries.At(1, j) = j == 0 ? -1.0f : 0.0f;
@@ -542,13 +675,13 @@ TEST_P(QuantizedSelectionIsaTest, CutoffBitsAndCandidatesMatchAFullPass) {
   for (int64_t dim : {128, 131}) {
     SCOPED_TRACE(::testing::Message() << "clustered 1029 x " << dim);
     ExpectSelectionMatchesFullPass(ClusteredUnitRows(1029, dim, 149),
-                                   ClusteredUnitRows(4, dim, 151));
+                                   ClusteredUnitRows(16, dim, 151));
   }
   {
     SCOPED_TRACE("clustered 206 x 128, five copies of each row");
     ExpectSelectionMatchesFullPass(
         DuplicatedRows(ClusteredUnitRows(206, 128, 157), 5),
-        ClusteredUnitRows(4, 128, 151));
+        ClusteredUnitRows(16, 128, 151));
   }
 }
 
@@ -615,8 +748,9 @@ TEST_P(QuantizedBackendIsaTest, BitIdenticalToScalarOnHostileCorpus) {
   }
   // The serving shape: several 16- and 32-code steps and a tail at dim 131,
   // several row blocks and an odd last row, k past the corpus size, and query
-  // blocks of every width: the batch and the pool width set it, so batch 7
-  // runs blocks of 4 and 3 on one thread and of 2 and 1 on four.
+  // blocks of many widths: the batch and the pool width set it, so batch 33
+  // runs blocks of 16, 16 and 1 on one thread and of 9, 9, 9 and 6 on four,
+  // and batch 7 one block of 7 on one thread and of 2, 2, 2 and 1 on four.
   const int64_t rows = 1501;
   for (int64_t dim : {128, 131}) {
     const Tensor items = ClusteredUnitRows(rows, dim, 149);
