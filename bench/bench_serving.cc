@@ -187,9 +187,8 @@ int Run() {
                 "1.00x"});
 
   bool bit_identical = true;
-  // The sweep addresses backends by registry name, resolved through the same
-  // BackendFromName lookup the CLI uses — adding a registered backend here is
-  // a one-string change.
+  // The sweep addresses backends by registry name, as the CLI does — adding
+  // a registered backend here is a one-string change.
   for (const std::string backend_name : {"exhaustive", "ivf", "quantized"}) {
     const bool use_ivf = backend_name == "ivf";
     for (const int64_t batch : {int64_t{1}, int64_t{16}, int64_t{64}}) {
@@ -197,13 +196,7 @@ int Run() {
       std::vector<std::vector<int64_t>> at_one_thread;
       for (const int threads : {1, 4}) {
         serve::ServeConfig serve_config;
-        auto parsed_backend = serve::BackendFromName(backend_name);
-        if (!parsed_backend.ok()) {
-          std::fprintf(stderr, "%s\n",
-                       parsed_backend.status().ToString().c_str());
-          return 1;
-        }
-        serve_config.backend = *parsed_backend;
+        serve_config.backend = backend_name;
         serve_config.ivf = ivf_config;
         serve_config.micro_batch = batch;
         serve_config.cache_capacity = 0;  // Measure scoring, not the cache.
@@ -245,7 +238,7 @@ int Run() {
   // The probe dial: accuracy/latency trade-off at a fixed batch width.
   std::printf("\n== Probe dial (ivf backend, batch 64, 4 threads) ==\n");
   serve::ServeConfig dial_config;
-  dial_config.backend = *serve::BackendFromName("ivf");
+  dial_config.backend = serve::Backend::kIvf;
   dial_config.ivf = ivf_config;
   dial_config.micro_batch = 64;
   dial_config.cache_capacity = 0;

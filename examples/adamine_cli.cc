@@ -241,12 +241,13 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--backend=", 0) == 0) {
       backend = arg.substr(std::strlen("--backend="));
-      // The registry owns the backend name space: any registered name is
-      // accepted, and a miss lists every registered backend.
-      auto parsed = adamine::serve::BackendFromName(backend);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     parsed.status().ToString().c_str());
+      // ServeConfig::Validate owns the name check: any registered backend
+      // a service can host is accepted, and a miss lists every registered
+      // backend.
+      adamine::serve::ServeConfig named;
+      named.backend = backend;
+      if (const adamine::Status st = named.Validate(); !st.ok()) {
+        std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
         return 1;
       }
     } else if (arg.rfind("--probes=", 0) == 0) {
@@ -443,7 +444,7 @@ int main(int argc, char** argv) {
     const double dataset_embed_ms = dataset_embed_watch.ElapsedMillis();
 
     adamine::serve::ServeConfig serve_config;
-    serve_config.backend = *adamine::serve::BackendFromName(backend);
+    serve_config.backend = backend;
     serve_config.micro_batch = serve_batch;
     serve_config.cache_capacity = serve_cache;
     serve_config.max_inflight = max_inflight;
@@ -479,7 +480,7 @@ int main(int argc, char** argv) {
       emb = emb.Reshape({emb.numel()});
       (*service)->RecordEmbedMillis(embed_watch.ElapsedMillis());
       std::printf("top 5 dishes for \"%s\" (%s backend):\n", arg2.c_str(),
-                  adamine::serve::BackendName(serve_config.backend));
+                  backend.c_str());
       const auto& recipes = pipe.splits().test.recipes;
       auto top5 = (*service)->QueryWithOptions(emb, 5, query_options);
       if (!top5.ok()) return Fail(top5.status());
@@ -559,7 +560,7 @@ int main(int argc, char** argv) {
           "— SIGINT/SIGTERM to drain and exit\n",
           shard_index, shard_count, static_cast<long long>(lo),
           static_cast<long long>(hi), server_config.host.c_str(),
-          server.port(), adamine::serve::BackendName(serve_config.backend));
+          server.port(), backend.c_str());
       std::fflush(stdout);
       int sig = 0;
       sigwait(&shutdown_set, &sig);
@@ -736,8 +737,7 @@ int main(int argc, char** argv) {
     (*service)->RecordEmbedMillis(dataset_embed_ms);
     std::printf("serving %lld items (%s backend, micro-batch %ld, "
                 "cache %ld)\n",
-                static_cast<long long>((*service)->size()),
-                adamine::serve::BackendName(serve_config.backend),
+                static_cast<long long>((*service)->size()), backend.c_str(),
                 serve_batch, serve_cache);
     // Two passes over the query stream: the second exercises the cache.
     int64_t top1 = 0;

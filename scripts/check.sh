@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command verification: plain tier-1 build, a guard against FMA
-# instructions in the library, the full test suite and the
+# instructions in the library, the servebench build and its helper tests,
+# the full test suite and the
 # registry-driven golden-diff harness, then the same golden harness (plus the
 # focused concurrency suites) under ThreadSanitizer, and the whole suite
 # under AddressSanitizer (leak check included) and UndefinedBehaviorSanitizer.
@@ -35,6 +36,15 @@ if [[ "$fma_count" != "0" ]]; then
       '/^[0-9a-f]+ </ { fn = $2 } $0 ~ fma { print fn }' | sort -u >&2
   exit 1
 fi
+
+# servebench (the frozen serving benchmark) builds the library from this
+# tree, so an API change that breaks it shows here, not only when ab.py
+# runs. Runs in --fast mode too: the benchmark never stops building.
+echo "== tier-1: servebench build + helper tests (build-servebench) =="
+cmake -S servebench -B build-servebench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-servebench -j "$(nproc)" --target servebench \
+  servebench_tests
+build-servebench/servebench_tests
 
 echo "== tier-1: full test suite =="
 ctest --test-dir build --output-on-failure -j "$(nproc)"

@@ -51,8 +51,8 @@ class MutableBackend final : public serve::ScoringBackend {
   std::string owned_dir_;
 };
 
-/// Factory behind the registry's "mutable" entry (registered in
-/// serve/backend.cc with the other built-ins). An empty
+/// Factory behind the registry's "mutable" entry (listed in
+/// backends/builtins.cc with the other built-ins). An empty
 /// BackendConfig::wal_dir gets a fresh ephemeral directory; a fresh corpus
 /// (no ids ever assigned) is seeded with the config's item rows in order,
 /// ids 0..N-1, while a recovered corpus is the source of truth and the

@@ -10,11 +10,6 @@ Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng& rng) {
   return Tensor::RandUniform({fan_in, fan_out}, rng, -bound, bound);
 }
 
-Tensor HeNormal(int64_t fan_in, int64_t fan_out, Rng& rng) {
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  return Tensor::Randn({fan_in, fan_out}, rng, stddev);
-}
-
 Tensor LstmWeight(int64_t input_dim, int64_t hidden_dim, Rng& rng) {
   return XavierUniform(input_dim + hidden_dim, 4 * hidden_dim, rng);
 }

@@ -10,9 +10,6 @@ namespace adamine::nn {
 /// matrix: U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))).
 Tensor XavierUniform(int64_t fan_in, int64_t fan_out, Rng& rng);
 
-/// He/Kaiming normal initialisation: N(0, sqrt(2/fan_in)).
-Tensor HeNormal(int64_t fan_in, int64_t fan_out, Rng& rng);
-
 /// LSTM gate weight init: Xavier for the [input+hidden, 4*hidden] matrix.
 Tensor LstmWeight(int64_t input_dim, int64_t hidden_dim, Rng& rng);
 

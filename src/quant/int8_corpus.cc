@@ -2,38 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
-#include <istream>
 #include <limits>
-#include <ostream>
+#include <string>
 
-#include "io/serialize.h"
-#include "io/wire.h"
 #include "kernel/int8dot.h"
-#include "util/check.h"
 
 namespace adamine::quant {
 
 namespace {
-
-constexpr char kQuantMagic[4] = {'A', 'D', 'M', 'Q'};
-constexpr uint32_t kQuantFormatVersion = 1;
-
-/// Upper bound on rows accepted by the reader before allocation — far above
-/// any real corpus, low enough that a hostile header cannot demand an
-/// absurd reservation on its own (the byte-count check below is the real
-/// guard; this is the backstop).
-constexpr int64_t kMaxQuantRows = int64_t{1} << 40;
-
-Status ExpectQuantMagic(io::wire::Reader& reader) {
-  char magic[4];
-  ADAMINE_RETURN_IF_ERROR(reader.ReadRaw(magic, sizeof(magic)));
-  if (std::memcmp(magic, kQuantMagic, sizeof(magic)) != 0) {
-    return Status::DataLoss("bad quantized-corpus magic (want ADMQ)");
-  }
-  return Status::Ok();
-}
 
 /// Next float >= x: the stored per-row bounds must never round down, or the
 /// score interval they feed would no longer contain the true score.
@@ -126,106 +102,6 @@ int64_t QuantizedBytes(const QuantizedCorpus& corpus) {
                               corpus.sum_abs_codes.size() * sizeof(int32_t) +
                               corpus.recon_errors.size() * sizeof(float) +
                               corpus.max_abs.size() * sizeof(float));
-}
-
-Status WriteQuantizedCorpus(std::ostream& os, const QuantizedCorpus& corpus) {
-  ADAMINE_CHECK_EQ(static_cast<int64_t>(corpus.codes.size()),
-                   corpus.rows * corpus.dim);
-  ADAMINE_CHECK_EQ(static_cast<int64_t>(corpus.scales.size()), corpus.rows);
-  io::wire::Writer writer(os);
-  writer.WriteRaw(kQuantMagic, sizeof(kQuantMagic));
-  writer.WriteU32(kQuantFormatVersion);
-  writer.WriteI64(corpus.rows);
-  writer.WriteI64(corpus.dim);
-  writer.WriteBytes(corpus.codes.data(), corpus.codes.size());
-  writer.WriteBytes(corpus.scales.data(),
-                    corpus.scales.size() * sizeof(float));
-  writer.WriteBytes(corpus.biases.data(),
-                    corpus.biases.size() * sizeof(float));
-  writer.WriteBytes(corpus.sum_abs_codes.data(),
-                    corpus.sum_abs_codes.size() * sizeof(int32_t));
-  writer.WriteBytes(corpus.recon_errors.data(),
-                    corpus.recon_errors.size() * sizeof(float));
-  writer.WriteBytes(corpus.max_abs.data(),
-                    corpus.max_abs.size() * sizeof(float));
-  const uint32_t crc = writer.crc();
-  writer.WriteRaw(&crc, sizeof(crc));
-  if (!writer.ok()) {
-    return Status::Internal("failed writing quantized corpus");
-  }
-  return Status::Ok();
-}
-
-StatusOr<QuantizedCorpus> ReadQuantizedCorpus(std::istream& is) {
-  io::wire::Reader reader(is);
-  ADAMINE_RETURN_IF_ERROR(ExpectQuantMagic(reader));
-  auto version = reader.ReadU32();
-  if (!version.ok()) return version.status();
-  if (*version != kQuantFormatVersion) {
-    return Status::DataLoss("unsupported quantized-corpus version " +
-                            std::to_string(*version) + " (want " +
-                            std::to_string(kQuantFormatVersion) + ")");
-  }
-  auto rows = reader.ReadI64();
-  if (!rows.ok()) return rows.status();
-  auto dim = reader.ReadI64();
-  if (!dim.ok()) return dim.status();
-  if (*rows < 0 || *rows > kMaxQuantRows || *dim <= 0 ||
-      *dim > kernel::kInt8DotMaxElems) {
-    return Status::DataLoss("quantized-corpus header out of range: rows=" +
-                            std::to_string(*rows) + " dim=" +
-                            std::to_string(*dim));
-  }
-  // Reject headers that announce more payload than the stream holds before
-  // allocating for them (the hostile-input rule shared with ADMT readers).
-  const int64_t payload =
-      *rows * *dim + *rows * (4 * static_cast<int64_t>(sizeof(float)) +
-                              static_cast<int64_t>(sizeof(int32_t)));
-  const int64_t remaining = reader.RemainingBytes();
-  if (remaining >= 0 && payload > remaining) {
-    return Status::DataLoss(
-        "quantized corpus truncated: header wants " +
-        std::to_string(payload) + " payload bytes, stream has " +
-        std::to_string(remaining));
-  }
-  QuantizedCorpus out;
-  out.rows = *rows;
-  out.dim = *dim;
-  out.codes.resize(static_cast<size_t>(*rows * *dim));
-  out.scales.resize(static_cast<size_t>(*rows));
-  out.biases.resize(static_cast<size_t>(*rows));
-  out.sum_abs_codes.resize(static_cast<size_t>(*rows));
-  out.recon_errors.resize(static_cast<size_t>(*rows));
-  out.max_abs.resize(static_cast<size_t>(*rows));
-  ADAMINE_RETURN_IF_ERROR(
-      reader.ReadBytes(out.codes.data(), out.codes.size()));
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
-      out.scales.data(), out.scales.size() * sizeof(float)));
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
-      out.biases.data(), out.biases.size() * sizeof(float)));
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
-      out.sum_abs_codes.data(), out.sum_abs_codes.size() * sizeof(int32_t)));
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
-      out.recon_errors.data(), out.recon_errors.size() * sizeof(float)));
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
-      out.max_abs.data(), out.max_abs.size() * sizeof(float)));
-  ADAMINE_RETURN_IF_ERROR(io::wire::VerifyCrc(reader, "quantized corpus"));
-  return out;
-}
-
-Status SaveQuantizedCorpus(const std::string& path,
-                           const QuantizedCorpus& corpus) {
-  return io::AtomicWriteFile(path, [&corpus](std::ostream& os) {
-    return WriteQuantizedCorpus(os, corpus);
-  });
-}
-
-StatusOr<QuantizedCorpus> LoadQuantizedCorpus(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status::NotFound("cannot open quantized corpus: " + path);
-  }
-  return ReadQuantizedCorpus(is);
 }
 
 }  // namespace adamine::quant

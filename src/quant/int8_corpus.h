@@ -2,8 +2,6 @@
 #define ADAMINE_QUANT_INT8_CORPUS_H_
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -55,20 +53,6 @@ StatusOr<QuantizedCorpus> QuantizeRows(const Tensor& items);
 /// (The float rows kept for the exact rerank are cold — the scan never
 /// reads them; only the `rerank_factor * k`-ish gathered candidates do.)
 int64_t QuantizedBytes(const QuantizedCorpus& corpus);
-
-/// On-disk format: magic "ADMQ", u32 format version, i64 rows, i64 dim,
-/// codes, scales, biases, sum_abs_codes, recon_errors, max_abs, u32 CRC-32
-/// of everything after the magic — the io/wire versioned-CRC idiom (see
-/// io/serialize.h). Readers validate the header against the bytes actually
-/// available before allocating and verify the CRC, so corrupt or truncated
-/// input yields a Status, never a garbage corpus.
-Status WriteQuantizedCorpus(std::ostream& os, const QuantizedCorpus& corpus);
-StatusOr<QuantizedCorpus> ReadQuantizedCorpus(std::istream& is);
-
-/// File-path conveniences; Save writes atomically (io::AtomicWriteFile).
-Status SaveQuantizedCorpus(const std::string& path,
-                           const QuantizedCorpus& corpus);
-StatusOr<QuantizedCorpus> LoadQuantizedCorpus(const std::string& path);
 
 }  // namespace adamine::quant
 

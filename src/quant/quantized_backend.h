@@ -23,9 +23,9 @@ namespace adamine::quant {
 /// semantics; the verified interval selection can widen past the floor when
 /// quantization error demands it — exactness is never traded away.
 ///
-/// Registered under the name "quantized" by the serve registry (no probe
-/// dial, no filter support); this header exists for direct construction in
-/// tests and benches.
+/// Registered under the name "quantized" by backends/builtins.cc (no probe
+/// dial); this header exists for that list and for direct construction in
+/// benches.
 StatusOr<std::unique_ptr<serve::ScoringBackend>> CreateQuantizedBackend(
     const serve::BackendConfig& config);
 

@@ -1,6 +1,7 @@
 #ifndef ADAMINE_SERVE_BACKEND_H_
 #define ADAMINE_SERVE_BACKEND_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -59,16 +60,36 @@ struct TopKResult {
   double rank_ms = -1.0;  // Top-k ranking wall time; < 0 when fused.
 };
 
-/// Everything a factory may need to build a backend over a corpus. Kept
-/// deliberately flat (no ServeConfig) so the registry has no dependency on
-/// the serving layer above it; backends ignore the knobs they do not use.
-struct BackendConfig {
-  Tensor items;  // [N, D] unit rows; copies alias the buffer.
-  /// Coarse-quantiser settings for probed backends ("ivf").
+/// The registry names of the built-in backends, for ServeConfig::backend
+/// and CreateBackend: one constant per engine registered by
+/// backends/builtins.cc. Any other registered name is as valid.
+struct Backend {
+  /// Serial per-query dot products. Exact; the golden-diff oracle every
+  /// other backend is compared against.
+  static constexpr char kScalar[] = "scalar";
+  /// One tiled GEMM of the query micro-batch against every item, then
+  /// per-query top-k. Exact.
+  static constexpr char kExhaustive[] = "exhaustive";
+  /// index::IvfIndex approximate search with a runtime probe dial.
+  static constexpr char kIvf[] = "ivf";
+  /// Int8 approximate scan + exact float rerank (src/quant/). Exact, with
+  /// a ~4x smaller scan footprint.
+  static constexpr char kQuantized[] = "quantized";
+  /// A crash-safe live-mutable corpus (src/mutate/) accepting Add / Delete
+  /// while serving. Exact over the surviving rows.
+  static constexpr char kMutable[] = "mutable";
+  /// An in-process sharded fan-out over exhaustive services: a topology of
+  /// services, so no RetrievalService can host it.
+  static constexpr char kSharded[] = "sharded";
+};
+
+/// The backend knobs, each declared once: BackendConfig adds the corpus
+/// and the topology, ServeConfig the serving policy. Backends ignore the
+/// knobs they do not use.
+struct BackendOptions {
+  /// Coarse-quantiser settings for probed backends ("ivf"); num_probes
+  /// seeds the probe dial.
   index::IvfConfig ivf;
-  /// Topology for sharded backends ("sharded", "remote").
-  int64_t num_shards = 1;
-  int64_t num_replicas = 1;
   /// Candidate floor for two-stage backends ("quantized"): the approximate
   /// scan keeps at least min(N, rerank_factor * k) rows for the exact
   /// rerank. Must be >= 1; larger values trade scan selectivity for rerank
@@ -78,15 +99,18 @@ struct BackendConfig {
   /// Durability directory for the "mutable" backend's WAL + segments +
   /// manifest. Empty means an ephemeral per-backend temp directory,
   /// deleted on destruction; non-empty persists across processes, and a
-  /// recovered non-empty corpus — not `items` — is the source of truth.
+  /// recovered non-empty corpus — not the seed items — is the source of
+  /// truth.
   std::string wal_dir;
   /// Memtable rows that trigger a background seal on the "mutable"
-  /// backend (small values create compaction pressure; see src/mutate/).
+  /// backend (>= 1; small values create compaction pressure; see
+  /// src/mutate/).
   int64_t seal_threshold = 4096;
   /// Ingest admission control for the "mutable" backend (see DESIGN.md,
   /// "Resource pressure and scrubbing"): memtable budgets and the seal-lag
-  /// watermark past which mutations shed with kResourceExhausted (or block
-  /// up to admit_wait_ms). 0 = unbounded / shed immediately.
+  /// watermark past which mutations shed with kResourceExhausted —
+  /// transient, retry after maintenance catches up — or block up to
+  /// admit_wait_ms. 0 = unbounded / shed immediately.
   int64_t memtable_max_rows = 0;
   int64_t memtable_max_bytes = 0;
   int64_t max_seal_lag = 0;
@@ -94,6 +118,19 @@ struct BackendConfig {
   /// Background integrity-scrub cadence for the "mutable" backend;
   /// 0 = scrubbing off.
   double scrub_interval_ms = 0.0;
+
+  /// kInvalidArgument naming the first knob out of range.
+  Status Validate() const;
+};
+
+/// Everything a factory may need to build a backend over a corpus. Kept
+/// deliberately flat (no ServeConfig) so the registry has no dependency on
+/// the serving layer above it.
+struct BackendConfig : BackendOptions {
+  Tensor items;  // [N, D] unit rows; copies alias the buffer.
+  /// Topology for sharded backends ("sharded", "remote").
+  int64_t num_shards = 1;
+  int64_t num_replicas = 1;
 };
 
 /// A scoring backend: one way to turn a query batch into per-query top-k
@@ -169,23 +206,26 @@ class ScoringBackend {
                                              const QueryOptions& options) = 0;
 };
 
-/// Static registration facts about a backend, used by the golden harness
-/// to pick the test matrix (probe sweeps, shard-count sweeps) without
-/// creating an instance first.
+/// Static registration facts about a backend: the golden harness picks
+/// its test matrix (probe sweeps, shard-count sweeps) from them without
+/// creating an instance first, and ServeConfig::Validate refuses a sharded
+/// one.
 struct BackendTraits {
-  bool has_probes = false;  // Honours SetProbes / BackendConfig::ivf.
-  bool sharded = false;     // Honours BackendConfig::num_shards/replicas.
+  bool has_probes = false;  // Honours SetProbes / BackendOptions::ivf.
+  /// A topology of services (honours BackendConfig::num_shards/replicas),
+  /// not a backend one RetrievalService can host.
+  bool sharded = false;
 };
 
 using BackendFactory =
     std::function<StatusOr<std::unique_ptr<ScoringBackend>>(
         const BackendConfig&)>;
 
-/// Registers a backend under `name`. The built-ins ("scalar", "exhaustive",
-/// "ivf", "sharded") self-register on first registry access; out-of-tree
-/// backends (a test's loopback-RPC topology, the future quantized path)
-/// register here and inherit the golden harness's coverage with no new test
-/// code. Fails with kInvalidArgument on a duplicate name.
+/// Registers a backend under `name`. The built-ins (one per Backend:: name)
+/// are in the registry from its first access; other backends (a test's
+/// loopback-RPC topology, say) register here and inherit the golden
+/// harness's coverage with no new test code. Fails with kInvalidArgument
+/// on a duplicate name.
 Status RegisterBackend(const std::string& name, BackendFactory factory,
                        const BackendTraits& traits = {});
 
@@ -198,14 +238,29 @@ StatusOr<std::unique_ptr<ScoringBackend>> CreateBackend(
 /// entry, so registering a backend is all it takes to put it under test.
 std::vector<std::string> RegisteredBackendNames();
 
-/// Canonical name lookup shared by every string-to-backend mapping (CLI
-/// --backend, ServeConfig, ShardServer): the registered name on a hit, a
-/// kInvalidArgument listing registered names on a miss.
-StatusOr<std::string> CanonicalBackendName(const std::string& name);
-
-/// Registration traits of `name` (same miss behaviour as
-/// CanonicalBackendName).
+/// Registration traits of `name`; unknown names fail as in CreateBackend.
 StatusOr<BackendTraits> TraitsOfBackend(const std::string& name);
+
+namespace internal {
+
+struct BuiltinBackend {
+  const char* name;
+  BackendFactory factory;
+  BackendTraits traits;
+};
+
+/// The built-in backends, one per Backend:: name. Defined in
+/// backends/builtins.cc, above serve/, since the list names engines from
+/// quant/, mutate/ and the sharded service. The registry calls it on first
+/// access: a static library would drop a static initializer from a file
+/// that nothing else references, but never a function it calls. A fixed
+/// array, so building the list allocates nothing: the first access comes
+/// inside the first service's Create, where a growing vector's short-lived
+/// blocks shifted where later corpus buffers landed in the heap and raised
+/// servebench's rpc-fanout peak RSS by a corpus' worth (4.5 MB).
+std::array<BuiltinBackend, 6> BuiltinBackends();
+
+}  // namespace internal
 
 }  // namespace adamine::serve
 

@@ -12,39 +12,16 @@
 
 namespace adamine::serve {
 
-const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kExhaustive:
-      return "exhaustive";
-    case Backend::kIvf:
-      return "ivf";
-    case Backend::kQuantized:
-      return "quantized";
-    case Backend::kMutable:
-      return "mutable";
-  }
-  return "unknown";
-}
-
-StatusOr<Backend> BackendFromName(const std::string& name) {
-  // The registry owns the name space: a miss here reports every registered
-  // backend, so the CLI, ServeConfig and ShardServer all fail the same way.
-  auto canonical = CanonicalBackendName(name);
-  if (!canonical.ok()) return canonical.status();
-  if (*canonical == "scalar") return Backend::kScalar;
-  if (*canonical == "exhaustive") return Backend::kExhaustive;
-  if (*canonical == "ivf") return Backend::kIvf;
-  if (*canonical == "quantized") return Backend::kQuantized;
-  if (*canonical == "mutable") return Backend::kMutable;
-  return Status::InvalidArgument(
-      "backend '" + *canonical +
-      "' is registered but cannot back an embedded RetrievalService "
-      "(embeddable backends: scalar, exhaustive, ivf, quantized, mutable)");
-}
-
 Status ServeConfig::Validate() const {
+  auto traits = TraitsOfBackend(backend);
+  if (!traits.ok()) return traits.status();
+  if (traits->sharded) {
+    return Status::InvalidArgument(
+        "backend '" + backend +
+        "' is sharded, a topology of services that no RetrievalService can "
+        "host (use ShardedRetrievalService)");
+  }
+  ADAMINE_RETURN_IF_ERROR(BackendOptions::Validate());
   if (micro_batch <= 0) {
     return Status::InvalidArgument("micro_batch must be positive");
   }
@@ -62,32 +39,10 @@ Status ServeConfig::Validate() const {
         "max_queue requires admission control (max_inflight > 0)");
   }
   ADAMINE_RETURN_IF_ERROR(degradation.Validate());
-  if (rerank_factor < 1) {
-    return Status::InvalidArgument("rerank_factor must be >= 1");
-  }
-  if (seal_threshold < 1) {
-    return Status::InvalidArgument("seal_threshold must be >= 1");
-  }
-  if (memtable_max_rows < 0 || memtable_max_bytes < 0 || max_seal_lag < 0) {
+  if (traits->has_probes && degradation.target_ms > 0.0 &&
+      degradation.min_probes > ivf.num_probes) {
     return Status::InvalidArgument(
-        "memtable budgets and max_seal_lag must be >= 0 (0 = unbounded)");
-  }
-  if (memtable_max_rows > 0 && memtable_max_rows < seal_threshold) {
-    return Status::InvalidArgument(
-        "memtable_max_rows below seal_threshold would backpressure before "
-        "sealing can ever trigger");
-  }
-  if (admit_wait_ms < 0.0 || scrub_interval_ms < 0.0) {
-    return Status::InvalidArgument(
-        "admit_wait_ms/scrub_interval_ms must be >= 0");
-  }
-  if (backend == Backend::kIvf) {
-    ADAMINE_RETURN_IF_ERROR(ivf.Validate());
-    if (degradation.target_ms > 0.0 &&
-        degradation.min_probes > ivf.num_probes) {
-      return Status::InvalidArgument(
-          "degradation.min_probes must not exceed ivf.num_probes");
-    }
+        "degradation.min_probes must not exceed ivf.num_probes");
   }
   return Status::Ok();
 }
@@ -144,19 +99,11 @@ StatusOr<std::unique_ptr<RetrievalService>> RetrievalService::Create(
   ADAMINE_RETURN_IF_ERROR(ValidateItems(items));
   std::unique_ptr<RetrievalService> service(
       new RetrievalService(std::move(items), config));
-  // Tensor copies alias the buffer, so the backend shares the item rows.
   BackendConfig backend_config;
+  static_cast<BackendOptions&>(backend_config) = config;
+  // Tensor copies alias the buffer, so the backend shares the item rows.
   backend_config.items = service->items_;
-  backend_config.ivf = config.ivf;
-  backend_config.rerank_factor = config.rerank_factor;
-  backend_config.wal_dir = config.wal_dir;
-  backend_config.seal_threshold = config.seal_threshold;
-  backend_config.memtable_max_rows = config.memtable_max_rows;
-  backend_config.memtable_max_bytes = config.memtable_max_bytes;
-  backend_config.max_seal_lag = config.max_seal_lag;
-  backend_config.admit_wait_ms = config.admit_wait_ms;
-  backend_config.scrub_interval_ms = config.scrub_interval_ms;
-  auto backend = CreateBackend(BackendName(config.backend), backend_config);
+  auto backend = CreateBackend(config.backend, backend_config);
   if (!backend.ok()) return backend.status();
   service->backend_ = std::move(backend.value());
   if (service->backend_->has_probes() && config.degradation.target_ms > 0.0) {

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "index/ivf_index.h"
 #include "serve/admission.h"
 #include "serve/backend.h"
 #include "serve/degradation.h"
@@ -21,67 +20,18 @@
 
 namespace adamine::serve {
 
-/// Thin alias over the registry names of the backends an embedded
-/// RetrievalService can host (CreateBackend does the real work; see
-/// serve/backend.h). Kept as an enum so configs stay trivially copyable
-/// and switch-complete; BackendFromName maps any registered name string.
-enum class Backend {
-  /// The "scalar" reference backend: serial per-query dot products. Exact;
-  /// the golden-diff oracle every other backend is compared against.
-  kScalar,
-  /// The "exhaustive" backend: one tiled GEMM of the query micro-batch
-  /// against every item, then per-query top-k. Exact.
-  kExhaustive,
-  /// The "ivf" backend: index::IvfIndex approximate search with a runtime
-  /// probe dial.
-  kIvf,
-  /// The "quantized" backend: int8 approximate scan + exact float rerank
-  /// (src/quant/). Exact — bit-identical to the scalar reference — with a
-  /// ~4x smaller scan footprint; tune via ServeConfig::rerank_factor.
-  kQuantized,
-  /// The "mutable" backend: a crash-safe live-mutable corpus (src/mutate/)
-  /// accepting Add / Delete while serving, WAL-acknowledged and recovered
-  /// after kill -9. Exact over the surviving rows; tune via
-  /// ServeConfig::wal_dir / seal_threshold.
-  kMutable,
-};
+/// A RetrievalService's config: the registry name of the backend it hosts,
+/// the backend knobs (BackendOptions, handed to the backend's factory as
+/// they are), and the serving policy below.
+struct ServeConfig : BackendOptions {
+  /// Declared so that ServeConfig is no aggregate: as an aggregate with a
+  /// base, a ShardedServeConfig argument written `{}` draws a false
+  /// -Wmaybe-uninitialized on its `shard` from GCC 12.
+  ServeConfig() = default;
 
-/// The registry name of `backend` ("scalar", "exhaustive", "ivf",
-/// "quantized", "mutable").
-const char* BackendName(Backend backend);
-
-/// Maps a registry name to the enum. Unknown names fail with the
-/// registry's kInvalidArgument listing every registered backend; names
-/// that are registered but cannot back an embedded service (e.g.
-/// "sharded", a topology of services rather than a backend under one)
-/// fail with a kInvalidArgument naming the embeddable set.
-StatusOr<Backend> BackendFromName(const std::string& name);
-
-struct ServeConfig {
-  Backend backend = Backend::kExhaustive;
-  /// Coarse-quantiser settings for Backend::kIvf (num_probes seeds the
-  /// probe dial; SetProbes adjusts it at runtime).
-  index::IvfConfig ivf;
-  /// Candidate floor for Backend::kQuantized: the approximate scan keeps at
-  /// least min(N, rerank_factor * k) rows for the exact rerank (>= 1; see
-  /// serve/backend.h).
-  int64_t rerank_factor = 4;
-  /// Durability directory for Backend::kMutable (empty = ephemeral; see
-  /// serve/backend.h and src/mutate/).
-  std::string wal_dir;
-  /// Memtable seal threshold for Backend::kMutable (>= 1).
-  int64_t seal_threshold = 4096;
-  /// Ingest admission control for Backend::kMutable (see serve/backend.h
-  /// and DESIGN.md, "Resource pressure and scrubbing"): over-budget Adds
-  /// shed with kResourceExhausted — transient, retry after maintenance
-  /// catches up — or block up to admit_wait_ms. 0 = unbounded.
-  int64_t memtable_max_rows = 0;
-  int64_t memtable_max_bytes = 0;
-  int64_t max_seal_lag = 0;
-  double admit_wait_ms = 0.0;
-  /// Background integrity-scrub cadence for Backend::kMutable
-  /// (0 = scrubbing off).
-  double scrub_interval_ms = 0.0;
+  /// Any registered name that is not sharded (Backend:: names the
+  /// built-ins).
+  std::string backend = Backend::kExhaustive;
   /// Query rows scored per GEMM dispatch. QueryBatch splits larger inputs
   /// into micro-batches of this width.
   int64_t micro_batch = 32;
@@ -100,6 +50,8 @@ struct ServeConfig {
   /// (target_ms <= 0 disables it; ignored on dial-less backends).
   DegradationConfig degradation;
 
+  /// kInvalidArgument for an unknown backend (listing every registered
+  /// one), a sharded one, or any knob out of range.
   Status Validate() const;
 };
 

@@ -74,10 +74,6 @@ Tensor AddScalar(const Tensor& a, float s) {
   return ElementwiseUnary(a, [s](float x) { return x + s; });
 }
 
-Tensor Exp(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return std::exp(x); });
-}
-
 Tensor Log(const Tensor& a) {
   return ElementwiseUnary(a, [](float x) { return std::log(x); });
 }
@@ -93,10 +89,6 @@ Tensor Sigmoid(const Tensor& a) {
 
 Tensor Relu(const Tensor& a) {
   return ElementwiseUnary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
-Tensor Square(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return x * x; });
 }
 
 void AddInPlace(Tensor& y, const Tensor& x) {

@@ -24,13 +24,11 @@ Tensor Div(const Tensor& a, const Tensor& b);
 Tensor Scale(const Tensor& a, float s);
 /// a + s.
 Tensor AddScalar(const Tensor& a, float s);
-/// exp(a), log(a), tanh(a), logistic sigmoid, max(a, 0), a^2.
-Tensor Exp(const Tensor& a);
+/// log(a), tanh(a), logistic sigmoid, max(a, 0).
 Tensor Log(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor Square(const Tensor& a);
 
 // ---------------------------------------------------------------------------
 // In-place operations (mutate the first argument).

@@ -17,8 +17,6 @@ void TablePrinter::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TablePrinter::AddSeparator() { rows_.emplace_back(); }
-
 void TablePrinter::Print(std::ostream& os) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
@@ -43,13 +41,7 @@ void TablePrinter::Print(std::ostream& os) const {
   print_line();
   print_row(headers_);
   print_line();
-  for (const auto& row : rows_) {
-    if (row.empty()) {
-      print_line();
-    } else {
-      print_row(row);
-    }
-  }
+  for (const auto& row : rows_) print_row(row);
   print_line();
 }
 

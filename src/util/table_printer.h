@@ -18,9 +18,6 @@ class TablePrinter {
   /// Appends a row; must have exactly as many cells as there are headers.
   void AddRow(std::vector<std::string> row);
 
-  /// Appends a horizontal separator line at this position.
-  void AddSeparator();
-
   /// Renders the table to `os`.
   void Print(std::ostream& os) const;
 
@@ -35,7 +32,6 @@ class TablePrinter {
 
  private:
   std::vector<std::string> headers_;
-  // Separator rows are encoded as empty vectors.
   std::vector<std::vector<std::string>> rows_;
 };
 

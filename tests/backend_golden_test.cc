@@ -564,8 +564,7 @@ TEST(BackendRegistryTest, UnknownNameListsEveryRegisteredBackend) {
         << "miss message does not list '" << name
         << "': " << backend.status().ToString();
   }
-  auto canonical = serve::CanonicalBackendName("no-such-backend");
-  EXPECT_FALSE(canonical.ok());
+  EXPECT_FALSE(serve::TraitsOfBackend("no-such-backend").ok());
 }
 
 TEST(BackendRegistryTest, DuplicateRegistrationIsRejected) {
@@ -579,25 +578,89 @@ TEST(BackendRegistryTest, DuplicateRegistrationIsRejected) {
   EXPECT_EQ(duplicate.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(BackendRegistryTest, EnumRoundTripsThroughTheRegistry) {
-  // The Backend enum is a thin alias over registry names: every enum value
-  // maps to a registered name and back.
-  for (const serve::Backend backend :
+TEST(BackendRegistryTest, BackendNamesResolveThroughTheRegistry) {
+  // Every Backend:: constant is a registered name, and a service hosts
+  // each one that is not sharded.
+  const Tensor& items = GoldenCorpora()[0].items;
+  for (const char* name :
        {serve::Backend::kScalar, serve::Backend::kExhaustive,
         serve::Backend::kIvf, serve::Backend::kQuantized,
-        serve::Backend::kMutable}) {
-    const std::string name = serve::BackendName(backend);
-    ASSERT_TRUE(serve::CanonicalBackendName(name).ok()) << name;
-    auto round = serve::BackendFromName(name);
-    ASSERT_TRUE(round.ok()) << round.status().ToString();
-    EXPECT_EQ(*round, backend);
+        serve::Backend::kMutable, serve::Backend::kSharded}) {
+    auto traits = serve::TraitsOfBackend(name);
+    ASSERT_TRUE(traits.ok()) << traits.status().ToString();
+    if (traits->sharded) continue;
+    serve::ServeConfig config;
+    config.backend = name;
+    auto service = serve::RetrievalService::Create(items, config);
+    ASSERT_TRUE(service.ok()) << name << ": " << service.status().ToString();
+    EXPECT_EQ((*service)->size(), items.rows()) << name;
   }
-  // Registered names that are topologies of services, not embeddable
-  // backends, are a descriptive rejection.
-  auto sharded = serve::BackendFromName("sharded");
-  ASSERT_FALSE(sharded.ok());
-  EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(sharded.status().message().find("sharded"), std::string::npos);
+  // A sharded name is a topology of services, which no service can host.
+  serve::ServeConfig sharded;
+  sharded.backend = serve::Backend::kSharded;
+  const Status refused = sharded.Validate();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("sharded"), std::string::npos)
+      << refused.ToString();
+  serve::ServeConfig unknown;
+  unknown.backend = "no-such-backend";
+  const Status missing = unknown.Validate();
+  EXPECT_EQ(missing.code(), StatusCode::kInvalidArgument);
+  for (const std::string& name : serve::RegisteredBackendNames()) {
+    EXPECT_NE(missing.message().find(name), std::string::npos)
+        << "miss message does not list '" << name
+        << "': " << missing.ToString();
+  }
+}
+
+TEST(BackendRegistryTest, EveryBackendOptionReachesTheFactory) {
+  // Registered once, from here rather than at static initialisation: the
+  // golden matrix is fixed by then, so this backend stays out of it (it
+  // would pass there too, since it serves exhaustive's answers).
+  static serve::BackendConfig received;
+  static const bool registered = [] {
+    const Status status = serve::RegisterBackend(
+        "option-recorder", [](const serve::BackendConfig& config) {
+          received = config;
+          return serve::CreateBackend(serve::Backend::kExhaustive, config);
+        });
+    ADAMINE_CHECK_MSG(status.ok(), status.ToString());
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+
+  // Every BackendOptions field away from its default.
+  serve::ServeConfig config;
+  config.backend = "option-recorder";
+  config.ivf.num_lists = 5;
+  config.ivf.num_probes = 3;
+  config.ivf.kmeans_iterations = 7;
+  config.ivf.seed = 11;
+  config.rerank_factor = 6;
+  config.wal_dir = "option-recorder-wal";
+  config.seal_threshold = 17;
+  config.memtable_max_rows = 40;
+  config.memtable_max_bytes = 1 << 20;
+  config.max_seal_lag = 3;
+  config.admit_wait_ms = 2.5;
+  config.scrub_interval_ms = 7.5;
+  const Tensor& items = GoldenCorpora()[0].items;
+  auto service = serve::RetrievalService::Create(items, config);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  EXPECT_EQ(received.items.data(), items.data());  // Aliased, not copied.
+  EXPECT_EQ(received.ivf.num_lists, 5);
+  EXPECT_EQ(received.ivf.num_probes, 3);
+  EXPECT_EQ(received.ivf.kmeans_iterations, 7);
+  EXPECT_EQ(received.ivf.seed, 11u);
+  EXPECT_EQ(received.rerank_factor, 6);
+  EXPECT_EQ(received.wal_dir, "option-recorder-wal");
+  EXPECT_EQ(received.seal_threshold, 17);
+  EXPECT_EQ(received.memtable_max_rows, 40);
+  EXPECT_EQ(received.memtable_max_bytes, 1 << 20);
+  EXPECT_EQ(received.max_seal_lag, 3);
+  EXPECT_EQ(received.admit_wait_ms, 2.5);
+  EXPECT_EQ(received.scrub_interval_ms, 7.5);
 }
 
 }  // namespace

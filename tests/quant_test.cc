@@ -5,8 +5,7 @@
 // every query count, codes that end at an unmapped page — and the AMX
 // tile state's release, plus the row-quantizer's
 // error-bound contract on hostile rows (denormal, max-magnitude, all-equal,
-// wildly mixed), the ADMQ on-disk format's corruption behaviour, and
-// end-to-end bit-identity of the quantized backend against the scalar
+// wildly mixed), and end-to-end bit-identity of the quantized backend against the scalar
 // reference across k x threads x rerank_factor on a quantization-hostile
 // corpus and at the serving shape. The backend also auto-inherits the full
 // golden matrix by registration (tests/backend_golden_test.cc).
@@ -19,11 +18,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -400,77 +397,6 @@ TEST(QuantizeRowsTest, RejectsNonFiniteAndOversizedInput) {
 
   Tensor flat({4});  // 1-D: not a row corpus.
   EXPECT_FALSE(quant::QuantizeRows(flat).ok());
-}
-
-// --- ADMQ serialization --------------------------------------------------
-
-quant::QuantizedCorpus RoundTripCorpus() {
-  Rng rng(127);
-  Tensor items = Tensor::Randn({9, 12}, rng);
-  auto q = quant::QuantizeRows(items);
-  ADAMINE_CHECK(q.ok());
-  return std::move(q).value();
-}
-
-void ExpectSameCorpus(const quant::QuantizedCorpus& a,
-                      const quant::QuantizedCorpus& b) {
-  EXPECT_EQ(a.rows, b.rows);
-  EXPECT_EQ(a.dim, b.dim);
-  EXPECT_EQ(a.codes, b.codes);
-  EXPECT_EQ(a.scales, b.scales);
-  EXPECT_EQ(a.biases, b.biases);
-  EXPECT_EQ(a.sum_abs_codes, b.sum_abs_codes);
-  EXPECT_EQ(a.recon_errors, b.recon_errors);
-  EXPECT_EQ(a.max_abs, b.max_abs);
-}
-
-TEST(QuantizedCorpusIoTest, RoundTripsBitExact) {
-  const quant::QuantizedCorpus corpus = RoundTripCorpus();
-  std::stringstream ss;
-  ASSERT_TRUE(quant::WriteQuantizedCorpus(ss, corpus).ok());
-  auto back = quant::ReadQuantizedCorpus(ss);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectSameCorpus(corpus, *back);
-}
-
-TEST(QuantizedCorpusIoTest, FileRoundTripAndMissingFile) {
-  const quant::QuantizedCorpus corpus = RoundTripCorpus();
-  const std::string path = testing::TempDir() + "/corpus.admq";
-  ASSERT_TRUE(quant::SaveQuantizedCorpus(path, corpus).ok());
-  auto back = quant::LoadQuantizedCorpus(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectSameCorpus(corpus, *back);
-  std::remove(path.c_str());
-  EXPECT_FALSE(quant::LoadQuantizedCorpus(path).ok());
-}
-
-TEST(QuantizedCorpusIoTest, EveryTruncationIsRejected) {
-  const quant::QuantizedCorpus corpus = RoundTripCorpus();
-  std::stringstream ss;
-  ASSERT_TRUE(quant::WriteQuantizedCorpus(ss, corpus).ok());
-  const std::string bytes = ss.str();
-  for (size_t cut = 0; cut < bytes.size(); cut += 7) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    auto result = quant::ReadQuantizedCorpus(truncated);
-    EXPECT_FALSE(result.ok()) << "prefix of " << cut << " bytes parsed";
-  }
-}
-
-TEST(QuantizedCorpusIoTest, BitFlipsAreCaughtByTheCrc) {
-  const quant::QuantizedCorpus corpus = RoundTripCorpus();
-  std::stringstream ss;
-  ASSERT_TRUE(quant::WriteQuantizedCorpus(ss, corpus).ok());
-  const std::string bytes = ss.str();
-  for (size_t pos = 0; pos < bytes.size(); pos += 13) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
-    std::stringstream in(corrupt);
-    auto result = quant::ReadQuantizedCorpus(in);
-    EXPECT_FALSE(result.ok()) << "flip at byte " << pos << " parsed";
-    if (!result.ok()) {
-      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << pos;
-    }
-  }
 }
 
 // --- End-to-end: quantized backend vs the scalar reference ---------------

@@ -12,8 +12,8 @@
 // forever — its only exit is a signal. A nonzero stall_ms arms
 // net.write.stall in this process, delaying every query response by that
 // long: the window the parent uses to kill the process mid-query. The
-// optional backend argument is any embeddable registry name (default
-// exhaustive), resolved through serve::BackendFromName.
+// optional backend argument is any registry name a service can host
+// (default exhaustive), checked by serve::ServeConfig::Validate.
 
 #include <unistd.h>
 
@@ -44,15 +44,14 @@ int Run(int argc, char** argv) {
   const std::string backend_name = argc >= 6 ? argv[5] : "exhaustive";
 
   namespace serve = adamine::serve;
-  auto backend = serve::BackendFromName(backend_name);
-  if (!backend.ok()) {
+  serve::ServeConfig serve_config;
+  serve_config.backend = backend_name;
+  serve_config.cache_capacity = 0;
+  if (const adamine::Status valid = serve_config.Validate(); !valid.ok()) {
     std::fprintf(stderr, "adamine_shard_server: %s\n",
-                 backend.status().ToString().c_str());
+                 valid.ToString().c_str());
     return 64;
   }
-  serve::ServeConfig serve_config;
-  serve_config.backend = *backend;
-  serve_config.cache_capacity = 0;
   auto service =
       serve::RetrievalService::Load(bundle_path, tensor_name, serve_config);
   if (!service.ok()) {
