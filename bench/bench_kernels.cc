@@ -1,6 +1,7 @@
 // Microbenchmarks of the substrate kernels (google-benchmark): GEMM, the
-// int8 scan, a quantized backend call, top-k selection, LSTM encoding, the
-// batch triplet losses, retrieval ranking, and word2vec.
+// int8 scan, a quantized backend call, the CRC-32 and the row quantizer of
+// every set-up, top-k selection, LSTM encoding, the batch triplet losses,
+// retrieval ranking, and word2vec.
 // These are the building blocks whose cost dominates training and
 // evaluation; sizes mirror the defaults used by the table benches.
 //
@@ -13,13 +14,15 @@
 // avx2_vnni, 3 avx512, 4 amx; GEMM stops at 3, whose tile it runs at amx),
 // so `BM_Int8Scan/4/1/2` reads "4 queries, 1 thread, AVX-VNNI"; a level
 // the CPU lacks is skipped, its row naming the missing level.
-// BM_QuantizedScore takes the level as its only argument. The level
-// changes no bits either, so
+// BM_QuantizedScore and BM_QuantizeRows take the level as their only
+// argument, BM_Crc32 as its second. The level changes no bits either, so
 //
 //   build/bench/bench_kernels --benchmark_filter='BM_Int8Scan/.*/1/'
 //   build/bench/bench_kernels --benchmark_filter='BM_GemmTransB/'
+//   build/bench/bench_kernels --benchmark_filter='BM_Crc32|BM_QuantizeRows'
 //
-// print DESIGN.md's per-level scan and serving-GEMM tables in one run each.
+// print DESIGN.md's per-level scan, serving-GEMM and set-up tables in one
+// run each.
 
 #include <benchmark/benchmark.h>
 
@@ -32,12 +35,14 @@
 #include "core/losses.h"
 #include "data/generator.h"
 #include "eval/metrics.h"
+#include "kernel/crc32.h"
 #include "kernel/gemm.h"
 #include "kernel/int8dot.h"
 #include "kernel/kernel.h"
 #include "kernel/topk.h"
 #include "nn/embedding.h"
 #include "nn/lstm.h"
+#include "quant/int8_corpus.h"
 #include "quant/quantized_backend.h"
 #include "serve/backend.h"
 #include "tensor/ops.h"
@@ -194,6 +199,40 @@ void BM_QuantizedScore(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kQueries);
 }
 BENCHMARK(BM_QuantizedScore)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
+
+/// CRC-32 (kernel::Crc32Update) over one buffer of n bytes: 64 B, a 32 KB
+/// rpc-fanout request frame and a 5 MB bundle payload. The arguments are n
+/// and the kernel::Isa level (0 portable, the slicing loop; 1-4 the
+/// carry-less fold), so `BM_Crc32/32768/1` reads "32 KB at avx2".
+void BM_Crc32(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  IsaGuard isa(state, state.range(1));
+  if (isa.skipped()) return;
+  Rng rng(13);
+  std::vector<unsigned char> bytes(static_cast<size_t>(n));
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.UniformInt(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernel::Crc32Update(0xFFFFFFFFu, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{64, 32 << 10, 5 << 20}, {0, 1, 2, 3, 4}});
+
+/// quant::QuantizeRows over the bulk-quantized corpus, 10,000 x 128
+/// image-feature rows, at the kernel::Isa level of its only argument (0
+/// portable; from 1 the AVX2 range pass and span quantizer).
+void BM_QuantizeRows(benchmark::State& state) {
+  IsaGuard isa(state, state.range(0));
+  if (isa.skipped()) return;
+  const Tensor rows = ImageFeatureRows(10000, 14);
+  for (auto _ : state) {
+    auto corpus = quant::QuantizeRows(rows);
+    benchmark::DoNotOptimize(corpus);
+  }
+  state.SetItemsProcessed(state.iterations() * rows.rows());
+}
+BENCHMARK(BM_QuantizeRows)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// Top-10 selection from a query block's [m, n] score matrix, at the two
 /// serving shapes: an rpc-fanout shard dispatch (32 queries x 3,000 rows)

@@ -14,7 +14,8 @@ worktree, nothing written to .git) and copies the working tree's tracked
 files, and its untracked files that are not ignored, into
 .bench_build/ab/change. It builds each snapshot into its own
 CARGO_TARGET_DIR (.bench_build/ab/parent-target and
-.bench_build/ab/change-target), then runs servebench/run.py of each
+.bench_build/ab/change-target; a target dir whose cmake cache names
+another tree is deleted first), then runs servebench/run.py of each
 snapshot for N pairs at BENCHMARK.json's run_seconds (--seconds overrides
 it for a quick look). Both trees and both target dirs sit at paths of
 equal length, so the two binaries differ only in the code they were
@@ -54,7 +55,8 @@ verdict. The machine also names the CPU by its family, model and stepping
 from /proc/cpuinfo (cpu_family, cpu_model, cpu_stepping), which the brand
 string often does not; lines written before these keys lack them. Compare
 lines only when their machine fields agree. --self-test checks the
-statistics, the line format, and every line of bench/ledger.jsonl.
+statistics, the line format, the stale-target check on fabricated cmake
+caches, and every line of bench/ledger.jsonl.
 """
 
 import argparse
@@ -165,6 +167,24 @@ def snapshot_change():
         os.makedirs(os.path.dirname(dest), exist_ok=True)
         shutil.copy2(source, dest, follow_symlinks=False)
     return tree
+
+
+def stale_target(tree, target):
+    """True when `target` holds a cmake cache configured for a source other
+    than `tree`'s servebench/ (or naming none). servebench/run.py configures
+    a target dir only when it has no cache, so such a dir would go on
+    building the other tree."""
+    try:
+        with open(os.path.join(target, "cmake", "CMakeCache.txt")) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return False  # No cache: run.py configures it afresh.
+    for line in lines:
+        if line.startswith("CMAKE_HOME_DIRECTORY:"):
+            home = line.partition("=")[2].strip()
+            return os.path.realpath(home) != os.path.realpath(
+                os.path.join(tree, "servebench"))
+    return True
 
 
 def cpu_id(path="/proc/cpuinfo"):
@@ -474,6 +494,22 @@ def self_test():
                                "cpu_stepping": 2}),
             (cpu_id(os.path.join(scratch, "missing")), {}),
         ]
+        # A target dir whose cmake cache names another tree's servebench/
+        # (or none) is stale; a missing cache or this tree's is not.
+        tree = os.path.join(scratch, "change")
+        target = os.path.join(scratch, "change-target")
+        cache = os.path.join(target, "cmake", "CMakeCache.txt")
+        stale = [stale_target(tree, target)]
+        os.makedirs(os.path.dirname(cache))
+        for home in (os.path.join(tree, "servebench"),
+                     os.path.join(scratch, "elsewhere", "servebench"), None):
+            with open(cache, "w") as f:
+                f.write("# This is the CMakeCache file.\n"
+                        "CMAKE_BUILD_TYPE:STRING=Release\n")
+                if home is not None:
+                    f.write("CMAKE_HOME_DIRECTORY:INTERNAL=%s\n" % home)
+            stale.append(stale_target(tree, target))
+        checks.append((stale, [False, False, True, True]))
     line["machine"].update(cpu_family=6, cpu_model=207, cpu_stepping=2)
     text = json.dumps(line)
     checks += [
@@ -555,8 +591,13 @@ def main():
                         os.path.join(AB_DIR, "parent-target")),
              "change": (snapshot_change(),
                         os.path.join(AB_DIR, "change-target"))}
-    # A one-second run per side builds its tree before any timed run.
+    # A one-second run per side builds its tree before any timed run, in a
+    # target dir configured for that tree.
     for side, (tree, target) in sides.items():
+        if stale_target(tree, target):
+            print("ab: %s was configured for another tree; deleting it" %
+                  target, flush=True)
+            shutil.rmtree(target)
         if run_once(tree, target, workloads[0], seeds[0], 1, 0) is None:
             fail("the %s tree does not build or run" % side)
 

@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "kernel/crc32.h"
 #include "util/fault.h"
 
 namespace adamine::io {
@@ -50,9 +51,10 @@ Status ExpectVersion(wire::Reader& reader, const char* what) {
   return Status::Ok();
 }
 
-/// The per-record checksum, computed from the in-memory fields so the same
-/// function serves the writer (before streaming) and the reader (after).
-uint32_t TensorRecordCrc(const Tensor& tensor) {
+/// The per-record checksum over version, rank, extents and payload. The
+/// payload enters as its own CRC state from zero, which the reader takes
+/// from the one pass that also feeds the stream's running CRC.
+uint32_t TensorRecordCrc(const Tensor& tensor, uint32_t payload_state) {
   wire::Crc32 crc;
   const uint32_t version = kFormatVersion;
   crc.Update(&version, sizeof(version));
@@ -62,8 +64,8 @@ uint32_t TensorRecordCrc(const Tensor& tensor) {
     const int64_t extent = tensor.dim(d);
     crc.Update(&extent, sizeof(extent));
   }
-  crc.Update(tensor.data(),
-             static_cast<size_t>(tensor.numel()) * sizeof(float));
+  crc.Combine(payload_state,
+              static_cast<uint64_t>(tensor.numel()) * sizeof(float));
   return crc.value();
 }
 
@@ -101,9 +103,10 @@ Status WriteTensorRecord(wire::Writer& writer, const Tensor& tensor) {
   writer.WriteU32(kFormatVersion);
   writer.WriteI64(tensor.ndim());
   for (int64_t d = 0; d < tensor.ndim(); ++d) writer.WriteI64(tensor.dim(d));
-  writer.WriteBytes(tensor.data(),
-                    static_cast<size_t>(tensor.numel()) * sizeof(float));
-  writer.WriteU32(TensorRecordCrc(tensor));
+  const size_t bytes = static_cast<size_t>(tensor.numel()) * sizeof(float);
+  writer.WriteBytes(tensor.data(), bytes);
+  writer.WriteU32(
+      TensorRecordCrc(tensor, kernel::Crc32Update(0, tensor.data(), bytes)));
   if (!writer.ok()) return Status::Internal("stream write failed");
   return Status::Ok();
 }
@@ -149,13 +152,14 @@ StatusOr<Tensor> ReadTensorRecord(wire::Reader& reader) {
         "tensor header announces more data than the stream holds");
   }
   Tensor tensor(shape);
-  ADAMINE_RETURN_IF_ERROR(reader.ReadBytes(
-      tensor.data(), static_cast<size_t>(numel) * sizeof(float)));
+  auto payload = reader.ReadBytesCrc(
+      tensor.data(), static_cast<size_t>(numel) * sizeof(float));
+  if (!payload.ok()) return payload.status();
   auto stored_crc = reader.ReadU32();
   if (!stored_crc.ok()) {
     return Status::DataLoss("truncated tensor record (missing CRC)");
   }
-  if (*stored_crc != TensorRecordCrc(tensor)) {
+  if (*stored_crc != TensorRecordCrc(tensor, *payload)) {
     return Status::DataLoss("tensor record CRC mismatch (corrupt)");
   }
   return tensor;

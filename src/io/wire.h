@@ -5,16 +5,26 @@
 #include <iosfwd>
 #include <string>
 
+#include "kernel/crc32.h"
 #include "util/status.h"
 
 namespace adamine::io::wire {
 
-/// Incremental CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). Every
-/// on-disk record carries one so that corruption and truncation are
-/// detected at load time instead of materialising as garbage tensors.
+/// Incremental CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) over
+/// kernel::Crc32Update, which picks its loop by ISA level. Every on-disk
+/// record carries one so that corruption and truncation are detected at
+/// load time instead of materialising as garbage tensors.
 class Crc32 {
  public:
-  void Update(const void* data, size_t n);
+  void Update(const void* data, size_t n) {
+    state_ = kernel::Crc32Update(state_, data, n);
+  }
+  /// Advances over n bytes without reading them, given their own state from
+  /// zero, kernel::Crc32Update(0, data, n): the same as Update(data, n), so
+  /// one pass over a span can feed two checksums.
+  void Combine(uint32_t span_state, uint64_t n) {
+    state_ = kernel::Crc32Shift(state_, n) ^ span_state;
+  }
   /// The finalised checksum of everything fed so far (Update may continue
   /// afterwards; value() is side-effect free).
   uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
@@ -66,6 +76,9 @@ class Reader {
 
   /// CRC-tracked reads.
   Status ReadBytes(void* p, size_t n);
+  /// ReadBytes that also returns the n bytes' own CRC state from zero
+  /// (kernel::Crc32Update(0, p, n)), from the same one pass over them.
+  StatusOr<uint32_t> ReadBytesCrc(void* p, size_t n);
   StatusOr<uint8_t> ReadU8();
   StatusOr<uint32_t> ReadU32();
   StatusOr<uint64_t> ReadU64();

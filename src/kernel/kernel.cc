@@ -94,7 +94,11 @@ Isa CpuIsa() {
   static const Isa isa = [] {
 #if defined(__x86_64__)
     __builtin_cpu_init();  // CpuIsa may run before libgcc's constructor.
-    if (!__builtin_cpu_supports("avx2")) return Isa::kPortable;
+    // Every AVX2 CPU has PCLMULQDQ; requiring it here means Crc32Update's
+    // carry-less fold, which runs from kAvx2 up, needs no check of its own.
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("pclmul")) {
+      return Isa::kPortable;
+    }
     if (!__builtin_cpu_supports("avxvnni")) return Isa::kAvx2;
     const bool avx512 = __builtin_cpu_supports("avx512f") &&
                         __builtin_cpu_supports("avx512bw") &&

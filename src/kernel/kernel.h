@@ -36,7 +36,7 @@ int NumThreads();
 /// the vector kernels carry target attributes and run only at their level.
 enum class Isa {
   kPortable,  // Plain loops (SSE2 auto-vectorised on x86-64).
-  kAvx2,      // AVX2, never FMA (see Gemm).
+  kAvx2,      // AVX2 and PCLMULQDQ, never FMA (see Gemm).
   kAvx2Vnni,  // AVX2 plus AVX-VNNI's 256-bit vpdpbusd (the int8 scan).
   kAvx512,    // kAvx2Vnni plus AVX-512 F, BW, VL and VNNI (Gemm's tile).
   kAmx,       // kAvx512 plus AMX-TILE and AMX-INT8 (the int8 scan).
@@ -58,9 +58,10 @@ Isa CpuIsa();
 /// The level every kernel dispatches on, read at each call: CpuIsa(),
 /// unless a test caps it (internal::ScopedIsa). Gemm has an AVX2 tile at
 /// kAvx2 and kAvx2Vnni and a 512-bit one from kAvx512 up, the quantized
-/// backend's selection pass uses AVX2 from kAvx2 up, Int8ScanRows has a
-/// tile per level but kAvx512, where it runs the VNNI one, and TopK's
-/// cutoff test is SSE2 above kPortable.
+/// backend's selection pass and the quantizer use AVX2 from kAvx2 up, as
+/// Crc32Update's carry-less fold does, Int8ScanRows has a tile per level
+/// but kAvx512, where it runs the VNNI one, and TopK's cutoff test is SSE2
+/// above kPortable.
 Isa ActiveIsa();
 
 /// Number of fixed-size chunks `ParallelFor` splits [0, n) into. Depends

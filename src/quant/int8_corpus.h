@@ -46,13 +46,32 @@ struct QuantizedCorpus {
 /// (the backend-level contract), but every value must be finite; D is
 /// bounded by kernel::kInt8DotMaxElems so the int32 scan accumulator cannot
 /// overflow. All per-row statistics are computed in double and rounded
-/// conservatively.
+/// conservatively. From Isa::kAvx2 up the range pass and the quantizing
+/// loop run AVX2 code with the portable loops' bits.
 StatusOr<QuantizedCorpus> QuantizeRows(const Tensor& items);
 
 /// Bytes the approximate scan touches per corpus: codes + per-row metadata.
 /// (The float rows kept for the exact rerank are cold — the scan never
 /// reads them; only the `rerank_factor * k`-ish gathered candidates do.)
 int64_t QuantizedBytes(const QuantizedCorpus& corpus);
+
+namespace internal {
+
+/// One query's symmetric int8 quantization, q[j] ~= scale * code[j], with
+/// the statistics the quantized backend's score intervals need.
+struct QueryStats {
+  double sum_q = 0.0;
+  double sum_abs_q = 0.0;
+  double scale = 0.0;
+  double max_err = 0.0;  // max_j |q[j] - scale * code[j]|
+};
+
+/// Quantizes q[0, d) into codes[0, d): the two sums and the largest
+/// magnitude in double over ascending j, then the row quantizer's one loop
+/// with bias 0 (AVX2 from Isa::kAvx2 up, with the portable loop's bits).
+QueryStats QuantizeQuery(const float* q, int64_t d, int8_t* codes);
+
+}  // namespace internal
 
 }  // namespace adamine::quant
 

@@ -62,6 +62,7 @@ namespace adamine::quant {
 
 namespace {
 
+using internal::QueryStats;
 using serve::BackendConfig;
 using serve::QueryBatch;
 using serve::QueryOptions;
@@ -125,38 +126,6 @@ class KthLargest {
   int depth_ = 0;
   std::vector<double> heap_;
 };
-
-/// One query's symmetric int8 quantization, q[j] ~= scale * code[j], with
-/// the statistics its score intervals need.
-struct QueryStats {
-  double sum_q = 0.0;
-  double sum_abs_q = 0.0;
-  double scale = 0.0;
-  double max_err = 0.0;  // max_j |q[j] - scale * code[j]|
-};
-
-/// Quantizes q[0, d) into codes[0, d). Double, ascending j: deterministic.
-QueryStats QuantizeQuery(const float* q, int64_t d, int8_t* codes) {
-  QueryStats s;
-  double qmax = 0.0;
-  for (int64_t j = 0; j < d; ++j) {
-    const double v = q[j];
-    s.sum_q += v;
-    s.sum_abs_q += std::fabs(v);
-    qmax = std::max(qmax, std::fabs(v));
-  }
-  s.scale = qmax / 127.0;
-  for (int64_t j = 0; j < d; ++j) {
-    int32_t c = 0;
-    if (s.scale > 0.0) {
-      const double rounded = std::nearbyint(q[j] / s.scale);
-      c = static_cast<int32_t>(std::max(-127.0, std::min(127.0, rounded)));
-    }
-    codes[j] = static_cast<int8_t>(c);
-    s.max_err = std::max(s.max_err, std::fabs(q[j] - s.scale * c));
-  }
-  return s;
-}
 
 /// One query's streaming candidate selection over rows in ascending order.
 /// The k-th best lower bound is the verified cutoff: at least `take` rows
@@ -505,7 +474,8 @@ std::vector<Candidates> SelectCandidates(const QuantizedCorpus& corpus,
   std::vector<CandidateStream> streams;
   streams.reserve(static_cast<size_t>(nq));
   for (int q = 0; q < nq; ++q) {
-    stats[q] = QuantizeQuery(queries + q * d, d, qcodes.data() + q * d);
+    stats[q] =
+        internal::QuantizeQuery(queries + q * d, d, qcodes.data() + q * d);
     streams.emplace_back(take, m);
   }
   SelectStepFn select = &SelectStep;

@@ -1,14 +1,22 @@
 #include "io/serialize.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/checkpoint.h"
 #include "io/wire.h"
+#include "isa_testlib.h"
+#include "kernel/crc32.h"
+#include "mutate/segment.h"
+#include "net/frame.h"
 #include "tensor/ops.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -402,6 +410,244 @@ TEST(BundleTest, AtomicSaveKeepsOldFileAcrossInjectedCrashes) {
   ASSERT_TRUE(SaveTensorBundle(path, v2).ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_EQ((*LoadTensorBundle(path))[0].name, "new");
+  std::remove(path.c_str());
+}
+
+// --- CRC-32 at every ISA level -------------------------------------------
+
+/// The raw CRC state after one more byte, bit at a time: BitwiseCrc32's
+/// step, so a sweep over every length costs one step per length.
+uint32_t BitwiseStep(uint32_t c, unsigned char byte) {
+  c ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& byte : bytes) {
+    byte = static_cast<unsigned char>(rng.UniformInt(256));
+  }
+  return bytes;
+}
+
+uint32_t Crc(const void* data, size_t n) {
+  wire::Crc32 crc;
+  crc.Update(data, n);
+  return crc.value();
+}
+
+/// x^e mod P in the plain (unreflected) representation, P(x) = x^32 +
+/// 0x04C11DB7: x^e one multiplication by x at a time.
+uint32_t XPowModP(int e) {
+  uint64_t r = 1;
+  for (int i = 0; i < e; ++i) {
+    r <<= 1;
+    if ((r >> 32) != 0) r ^= 0x104C11DB7ull;
+  }
+  return static_cast<uint32_t>(r);
+}
+
+uint64_t Reflect(uint64_t v, int bits) {
+  uint64_t out = 0;
+  for (int i = 0; i < bits; ++i) out |= ((v >> i) & 1) << (bits - 1 - i);
+  return out;
+}
+
+TEST(Crc32FoldTest, ConstantsDeriveFromThePolynomial) {
+  // Each fold distance e gives (x^e mod P), reflected and shifted left once
+  // (Gopal et al.), and each is pinned as a literal too.
+  const kernel::internal::Crc32FoldConstants& k = kernel::internal::kCrc32Fold;
+  const auto fold = [](int e) { return Reflect(XPowModP(e), 32) << 1; };
+  EXPECT_EQ(k.r1, fold(4 * 128 + 32));
+  EXPECT_EQ(k.r2, fold(4 * 128 - 32));
+  EXPECT_EQ(k.r3, fold(128 + 32));
+  EXPECT_EQ(k.r4, fold(128 - 32));
+  EXPECT_EQ(k.r5, fold(64));
+  EXPECT_EQ(k.poly, Reflect(0x104C11DB7ull, 33));
+  // floor(x^64 / P) by long division: its x^32 term first, which leaves
+  // P's low 32 bits at x^32 and up as the running remainder.
+  uint64_t quotient = uint64_t{1} << 32;
+  uint64_t rem = uint64_t{0x04C11DB7} << 32;
+  for (int shift = 31; shift >= 0; --shift) {
+    if (((rem >> (32 + shift)) & 1) != 0) {
+      quotient |= uint64_t{1} << shift;
+      rem ^= uint64_t{0x104C11DB7} << shift;
+    }
+  }
+  EXPECT_EQ(k.mu, Reflect(quotient, 33));
+  EXPECT_EQ(k.r1, 0x154442bd4u);
+  EXPECT_EQ(k.r2, 0x1c6e41596u);
+  EXPECT_EQ(k.r3, 0x1751997d0u);
+  EXPECT_EQ(k.r4, 0x0ccaa009eu);
+  EXPECT_EQ(k.r5, 0x163cd6124u);
+  EXPECT_EQ(k.poly, 0x1db710641u);
+  EXPECT_EQ(k.mu, 0x1f7011641u);
+}
+
+/// kernel::Crc32Update and what sits on it, at every ISA level: the
+/// slicing-by-8 loop at portable, the carry-less fold from avx2 up.
+class Crc32IsaTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, Crc32IsaTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(Crc32IsaTest, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-4,160 cross the 64-byte fold threshold with every 16-byte
+  // tail and up to 64 four-lane steps; 16 start offsets put the 16-byte
+  // loads at every alignment.
+  wire::Crc32 check;
+  check.Update("123456789", 9);
+  EXPECT_EQ(check.value(), 0xCBF43926u);
+  constexpr size_t kMaxLen = 4160;
+  const std::vector<unsigned char> buffer = RandomBytes(kMaxLen + 16, 43);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* data = buffer.data() + offset;
+    uint32_t expect = 0xFFFFFFFFu;  // The bitwise state over data[0, len).
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(kernel::Crc32Update(0xFFFFFFFFu, data, len), expect)
+          << "offset " << offset << " len " << len;
+      if (len < kMaxLen) expect = BitwiseStep(expect, data[len]);
+    }
+  }
+}
+
+TEST_P(Crc32IsaTest, EverySplitPointGivesTheWholeValue) {
+  const std::vector<unsigned char> buffer = RandomBytes(200, 47);
+  for (size_t len = 0; len <= buffer.size(); ++len) {
+    const uint32_t expect = BitwiseCrc32(buffer.data(), len);
+    for (size_t split = 0; split <= len; ++split) {
+      wire::Crc32 parts;
+      parts.Update(buffer.data(), split);
+      parts.Update(buffer.data() + split, len - split);
+      ASSERT_EQ(parts.value(), expect) << "len " << len << " split " << split;
+    }
+  }
+}
+
+TEST_P(Crc32IsaTest, FiveMegabytesMatchTheBitwiseReference) {
+  const std::vector<unsigned char> buffer = RandomBytes(5 << 20, 53);
+  EXPECT_EQ(Crc(buffer.data(), buffer.size()),
+            BitwiseCrc32(buffer.data(), buffer.size()));
+}
+
+TEST_P(Crc32IsaTest, ReadsNoBytePastTheBuffer) {
+  // Every buffer ends flush against an unmapped page, so a fold or tail
+  // load past its last byte faults instead of passing.
+  Rng rng(59);
+  std::vector<int64_t> lengths;
+  for (int64_t len = 0; len <= 272; ++len) lengths.push_back(len);
+  for (int64_t len : {1023, 4096, 4111, 65536 + 15}) lengths.push_back(len);
+  for (int64_t len : lengths) {
+    GuardedBytes bytes(len);
+    auto* data = reinterpret_cast<unsigned char*>(bytes.data());
+    for (int64_t i = 0; i < len; ++i) {
+      data[i] = static_cast<unsigned char>(rng.UniformInt(256));
+    }
+    ASSERT_EQ(Crc(data, static_cast<size_t>(len)),
+              BitwiseCrc32(data, static_cast<size_t>(len)))
+        << "len " << len;
+  }
+}
+
+TEST_P(Crc32IsaTest, ShiftJoinsTheSpansOfRandomSplits) {
+  // Crc32Update(s, p, n) == Crc32Shift(Crc32Update(s, p, a), n - a) ^
+  // Crc32Update(0, p + a, n - a), for random states, lengths up to 2^20
+  // and split points; wire::Crc32::Combine is the same join.
+  Rng rng(61);
+  constexpr size_t kMaxLen = size_t{1} << 20;
+  const std::vector<unsigned char> buffer = RandomBytes(kMaxLen, 67);
+  std::vector<size_t> lengths = {0, 1, 15, 16, 63, 64, 65, kMaxLen};
+  for (int i = 0; i < 16; ++i) {
+    lengths.push_back(static_cast<size_t>(rng.UniformInt(kMaxLen + 1)));
+  }
+  for (size_t len : lengths) {
+    const size_t split = static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(len) + 1));
+    const auto state = static_cast<uint32_t>(rng.Next());
+    const unsigned char* p = buffer.data();
+    const uint32_t head = kernel::Crc32Update(state, p, split);
+    const uint32_t tail = kernel::Crc32Update(0, p + split, len - split);
+    ASSERT_EQ(kernel::Crc32Shift(head, len - split) ^ tail,
+              kernel::Crc32Update(state, p, len))
+        << "len " << len << " split " << split;
+    wire::Crc32 joined;
+    joined.Update(p, split);
+    joined.Combine(tail, len - split);
+    ASSERT_EQ(joined.value(), Crc(p, len))
+        << "len " << len << " split " << split;
+  }
+}
+
+TEST_P(Crc32IsaTest, EveryBitFlipInABundleFailsItsLoad) {
+  // The reader hashes each payload once and derives the record CRC and the
+  // bundle's running CRC from it, so a flip must still fail a check: an
+  // 80-float payload takes the fold path, a 3-float one the slicing loop.
+  Rng rng(71);
+  const std::string bytes =
+      SerializedBundle({{"items", Tensor::Randn({5, 16}, rng)},
+                        {"bias", Tensor::Randn({3}, rng)}});
+  ASSERT_TRUE(ReadBundleFrom(bytes).ok());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = bytes;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
+      ASSERT_FALSE(ReadBundleFrom(corrupt).ok())
+          << "flipped bit " << bit << " of byte " << i << " went undetected";
+    }
+  }
+}
+
+TEST_P(Crc32IsaTest, FramesSegmentsAndBundlesReadBackAtEveryLevel) {
+  // Written at this level, read at every level the CPU has.
+  Rng rng(73);
+  net::QueryRequest request;
+  request.request_id = 9;
+  request.k = 4;
+  request.queries = Tensor::Randn({6, 32}, rng);
+  const std::string frame = net::EncodeQueryRequest(request);
+  const std::vector<NamedTensor> bundle = {
+      {"rows", Tensor::Randn({7, 24}, rng)}};
+  const std::string bundle_bytes = SerializedBundle(bundle);
+  const std::vector<int64_t> ids = {3, 5, 8, 13, 21};
+  const Tensor rows = Tensor::Randn({5, 24}, rng);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("adamine_crc_isa_" + std::string(kernel::IsaName(GetParam())) + "_" +
+        std::to_string(::getpid()) + ".adms"))
+          .string();
+  ASSERT_TRUE(mutate::WriteSegmentFile(path, ids, rows).ok());
+  for (kernel::Isa level : kernel::kAllIsas) {
+    if (level > kernel::CpuIsa()) continue;
+    SCOPED_TRACE(::testing::Message() << "read at " << kernel::IsaName(level));
+    kernel::internal::ScopedIsa cap(level);
+
+    net::FrameAssembler assembler;
+    assembler.Append(frame.data(), frame.size());
+    net::Frame got;
+    auto next = assembler.Next(&got);
+    ASSERT_TRUE(next.ok() && *next) << next.status().ToString();
+    auto decoded = net::DecodeQueryRequest(got.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(std::memcmp(decoded->queries.data(), request.queries.data(),
+                          sizeof(float) * 6 * 32),
+              0);
+
+    auto segment = mutate::LoadSegmentFile(path, 24);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    EXPECT_EQ(segment->ids, ids);
+    EXPECT_EQ(std::memcmp(segment->rows.data(), rows.data(),
+                          sizeof(float) * 5 * 24),
+              0);
+
+    auto back = ReadBundleFrom(bundle_bytes);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(std::memcmp((*back)[0].tensor.data(), bundle[0].tensor.data(),
+                          sizeof(float) * 7 * 24),
+              0);
+  }
   std::remove(path.c_str());
 }
 

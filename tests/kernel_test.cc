@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #if defined(__x86_64__)
+#include <cpuid.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
@@ -77,6 +78,17 @@ TEST(CpuIsaTest, AmxExactlyWhenTheCpuHasItAndLinuxGrantsTheTiles) {
       << "cpu level " << kernel::IsaName(isa) << ", amx " << amx
       << ", tiles granted " << granted;
   EXPECT_EQ(isa >= kernel::Isa::kAvx512, avx512);
+}
+
+TEST(CpuIsaTest, Avx2AndEveryLevelAboveImplyPclmulqdq) {
+  // Crc32Update folds with PCLMULQDQ from kAvx2 up and checks no feature
+  // of its own: CPUID leaf 1, ECX bit 1.
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  ASSERT_TRUE(__get_cpuid(1, &eax, &ebx, &ecx, &edx));
+  const bool pclmulqdq = (ecx >> 1 & 1) != 0;
+  EXPECT_TRUE(kernel::CpuIsa() < kernel::Isa::kAvx2 || pclmulqdq)
+      << "cpu level " << kernel::IsaName(kernel::CpuIsa())
+      << " without PCLMULQDQ";
 }
 #endif
 

@@ -5,14 +5,13 @@
 // every query count, codes that end at an unmapped page — and the AMX
 // tile state's release, plus the row-quantizer's
 // error-bound contract on hostile rows (denormal, max-magnitude, all-equal,
-// wildly mixed), and end-to-end bit-identity of the quantized backend against the scalar
+// wildly mixed), the row and query quantizers' bits at every ISA level
+// against the portable loop, and end-to-end bit-identity of the quantized backend against the scalar
 // reference across k x threads x rerank_factor on a quantization-hostile
 // corpus and at the serving shape. The backend also auto-inherits the full
 // golden matrix by registration (tests/backend_golden_test.cc).
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -21,6 +20,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +32,6 @@
 #include "serve/backend.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 #if defined(__x86_64__)
@@ -202,35 +201,6 @@ TEST_P(Int8ScanRowsTest, MatchesPerRowReferenceAtEveryThreadCount) {
   }
 }
 
-/// `size` bytes that end flush against an unmapped (PROT_NONE) page, so a
-/// read of one byte past them faults. AddressSanitizer cannot stand in for
-/// the page: it does not see the AMX tile loads, which are inline asm.
-class GuardedBytes {
- public:
-  explicit GuardedBytes(int64_t size) {
-    const int64_t page = sysconf(_SC_PAGESIZE);
-    const int64_t body = (size + page - 1) / page * page;
-    map_bytes_ = static_cast<size_t>(body + page);
-    void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    ADAMINE_CHECK(map != MAP_FAILED);
-    map_ = static_cast<int8_t*>(map);
-    ADAMINE_CHECK(mprotect(map_ + body, static_cast<size_t>(page),
-                           PROT_NONE) == 0);
-    data_ = map_ + body - size;
-  }
-  ~GuardedBytes() { munmap(map_, map_bytes_); }
-  GuardedBytes(const GuardedBytes&) = delete;
-  GuardedBytes& operator=(const GuardedBytes&) = delete;
-
-  int8_t* data() { return data_; }
-
- private:
-  int8_t* map_ = nullptr;
-  size_t map_bytes_ = 0;
-  int8_t* data_ = nullptr;
-};
-
 class Int8ScanGuardTest : public IsaLevelTest {};
 INSTANTIATE_TEST_SUITE_P(AllLevels, Int8ScanGuardTest,
                          ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
@@ -397,6 +367,153 @@ TEST(QuantizeRowsTest, RejectsNonFiniteAndOversizedInput) {
 
   Tensor flat({4});  // 1-D: not a row corpus.
   EXPECT_FALSE(quant::QuantizeRows(flat).ok());
+}
+
+// --- The quantizer at every ISA level: bits of the portable loop ---------
+
+/// Rows that stress each step the vector quantizer must match bit for bit:
+/// constant rows, mixed-sign zeros (std::min and std::max keep the first
+/// of two equal values, so a row of zeros takes the sign of its first zero
+/// into its bias), denormal ranges, +-FLT_MAX, quotients landing exactly
+/// on k + 0.5 (scale 1 and 2, bias 0), mixed magnitudes and plain random
+/// rows.
+Tensor QuantizerHostileRows(int64_t dim, Rng* rng) {
+  constexpr float kMax = std::numeric_limits<float>::max();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const auto zero = [&] { return rng->UniformInt(2) == 0 ? 0.0f : -0.0f; };
+  const auto uniform = [&] {
+    return static_cast<float>(rng->UniformInt(1 << 20)) / (1 << 20);
+  };
+  std::vector<std::function<float(int64_t)>> patterns = {
+      [](int64_t) { return 3.25f; },
+      [&](int64_t) { return zero(); },
+      [](int64_t j) { return j == 0 ? -0.0f : 0.0f; },
+      [](int64_t j) { return j == 0 ? 0.0f : -0.0f; },
+      // Non-negative with zeros: the minimum is a zero.
+      [&](int64_t) { return rng->UniformInt(3) == 0 ? zero() : uniform(); },
+      // Non-positive with zeros: the maximum is a zero.
+      [&](int64_t) { return rng->UniformInt(3) == 0 ? zero() : -uniform(); },
+      // Both signs with zeros, and a zero-only head before positives.
+      [&](int64_t) {
+        return rng->UniformInt(4) == 0 ? zero() : uniform() - 0.5f;
+      },
+      [&](int64_t j) { return j < 9 ? zero() : uniform(); },
+      [&](int64_t j) { return j < 9 ? zero() : -uniform(); },
+      [&](int64_t) {
+        return denorm * static_cast<float>(rng->UniformInt(9) - 4);
+      },
+      [&](int64_t j) { return j % 2 == 0 ? kMax : -kMax; },
+      [&](int64_t) {
+        const int64_t pick = rng->UniformInt(3);
+        return pick == 0 ? kMax : pick == 1 ? -kMax : zero();
+      },
+      // Range [-127, 127]: scale 1, bias 0, so k + 0.5 is the quotient.
+      [&](int64_t j) {
+        if (j == 0) return -127.0f;
+        if (j == 1) return 127.0f;
+        return static_cast<float>(rng->UniformInt(254) - 127) + 0.5f;
+      },
+      // Range [-254, 254]: scale 2, so every odd integer is a tie.
+      [&](int64_t j) {
+        if (j == 0) return -254.0f;
+        if (j == 1) return 254.0f;
+        return static_cast<float>(2 * (rng->UniformInt(254) - 127) + 1);
+      },
+      [&](int64_t j) { return j % 2 == 0 ? 1.0e6f : 1.0e-6f; },
+      [&](int64_t) { return static_cast<float>(rng->Normal(0.0, 1.0)); },
+  };
+  Tensor rows({static_cast<int64_t>(patterns.size()), dim});
+  for (size_t r = 0; r < patterns.size(); ++r) {
+    for (int64_t j = 0; j < dim; ++j) {
+      rows.At(static_cast<int64_t>(r), j) = patterns[r](j);
+    }
+  }
+  return rows;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
+/// QuantizeRows and QuantizeQuery at the fixture's level against the
+/// portable loops.
+class QuantizeIsaTest : public IsaLevelTest {};
+INSTANTIATE_TEST_SUITE_P(AllLevels, QuantizeIsaTest,
+                         ::testing::ValuesIn(kernel::kAllIsas), IsaLevelName);
+
+TEST_P(QuantizeIsaTest, EveryFieldMatchesThePortableLoop) {
+  Rng rng(173);
+  for (int64_t dim : {1, 3, 4, 5, 127, 128, 131}) {
+    SCOPED_TRACE(::testing::Message() << "dim " << dim);
+    const Tensor rows = QuantizerHostileRows(dim, &rng);
+    std::optional<quant::QuantizedCorpus> expect;
+    {
+      kernel::internal::ScopedIsa portable(kernel::Isa::kPortable);
+      auto q = quant::QuantizeRows(rows);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      expect = std::move(q).value();
+    }
+    auto got = quant::QuantizeRows(rows);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->rows, expect->rows);
+    EXPECT_EQ(got->dim, expect->dim);
+    EXPECT_EQ(got->codes, expect->codes);
+    EXPECT_TRUE(SameBits(got->scales, expect->scales));
+    EXPECT_TRUE(SameBits(got->biases, expect->biases));
+    EXPECT_EQ(got->sum_abs_codes, expect->sum_abs_codes);
+    EXPECT_TRUE(SameBits(got->recon_errors, expect->recon_errors));
+    EXPECT_TRUE(SameBits(got->max_abs, expect->max_abs));
+    CheckBoundsHold(rows, *got);
+
+    // Each row as a query: the same loop with bias 0 behind scalar sums.
+    for (int64_t r = 0; r < rows.rows(); ++r) {
+      const float* q = rows.data() + r * dim;
+      std::vector<int8_t> want_codes(static_cast<size_t>(dim));
+      std::vector<int8_t> got_codes(static_cast<size_t>(dim));
+      quant::internal::QueryStats want;
+      {
+        kernel::internal::ScopedIsa portable(kernel::Isa::kPortable);
+        want = quant::internal::QuantizeQuery(q, dim, want_codes.data());
+      }
+      const quant::internal::QueryStats stats =
+          quant::internal::QuantizeQuery(q, dim, got_codes.data());
+      EXPECT_EQ(got_codes, want_codes) << "query row " << r;
+      EXPECT_TRUE(SameBits(stats.sum_q, want.sum_q)) << "query row " << r;
+      EXPECT_TRUE(SameBits(stats.sum_abs_q, want.sum_abs_q));
+      EXPECT_TRUE(SameBits(stats.scale, want.scale)) << "query row " << r;
+      EXPECT_TRUE(SameBits(stats.max_err, want.max_err)) << "query row " << r;
+    }
+  }
+}
+
+TEST_P(QuantizeIsaTest, NonFiniteValueNamesTheSameRowAndColumn) {
+  // A NaN or an infinity in the first vector, in a later one or in the
+  // overlapping tail; a second one later in the row, which must not be
+  // the one reported.
+  Rng rng(179);
+  for (int64_t dim : {1, 5, 128, 131}) {
+    for (int64_t col : {int64_t{0}, dim / 2, dim - 1}) {
+      for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+        Tensor rows = Tensor::Randn({4, dim}, rng);
+        rows.At(2, col) = bad;
+        rows.At(2, dim - 1) = std::numeric_limits<float>::infinity();
+        rows.At(3, 0) = bad;
+        const std::string want =
+            "row 2 col " + std::to_string(col) + " is not";
+        auto got = quant::QuantizeRows(rows);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(got.status().message().find(want), std::string::npos)
+            << got.status().message() << " (want " << want << ")";
+      }
+    }
+  }
 }
 
 // --- End-to-end: quantized backend vs the scalar reference ---------------
