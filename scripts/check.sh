@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification: plain tier-1 build, a guard against FMA
 # instructions in the library, the servebench build and its helper tests,
-# the full test suite and the
-# registry-driven golden-diff harness, then the same golden harness (plus the
+# the full test suite and the registry-driven golden-diff harness, one brief
+# run of the quantized kernel benches, then the same golden harness (plus the
 # focused concurrency suites) under ThreadSanitizer, and the whole suite
 # under AddressSanitizer (leak check included) and UndefinedBehaviorSanitizer.
 # This is the flow CI runs; a clean exit here means the tree is shippable.
@@ -54,6 +54,14 @@ ctest --test-dir build -L golden --output-on-failure
 
 echo "== tier-1: quant kernels + backend (ctest -L quant) =="
 ctest --test-dir build -L quant --output-on-failure
+
+# The benches are built above but no test runs them. One brief pass over a
+# quantized backend call and its selection stage, at every level the CPU
+# has, fails here if either bench crashes. Runs in --fast mode too.
+echo "== tier-1: quantized call + selection benches, one brief pass =="
+build/bench/bench_kernels \
+  --benchmark_filter='BM_(SelectCandidates|QuantizedScore)/' \
+  --benchmark_min_time=0.01
 
 # Live-mutation battery: WAL / manifest corruption sweeps, the recovery
 # state machine under the mutate.* fault points, and the forked kill -9

@@ -11,7 +11,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "kernel/crc32.h"
 #include "util/fault.h"
 
 namespace adamine::io {
@@ -52,8 +51,9 @@ Status ExpectVersion(wire::Reader& reader, const char* what) {
 }
 
 /// The per-record checksum over version, rank, extents and payload. The
-/// payload enters as its own CRC state from zero, which the reader takes
-/// from the one pass that also feeds the stream's running CRC.
+/// payload enters as its own CRC state from zero, which the writer and the
+/// reader each take from the one pass that also feeds the stream's running
+/// CRC.
 uint32_t TensorRecordCrc(const Tensor& tensor, uint32_t payload_state) {
   wire::Crc32 crc;
   const uint32_t version = kFormatVersion;
@@ -103,10 +103,9 @@ Status WriteTensorRecord(wire::Writer& writer, const Tensor& tensor) {
   writer.WriteU32(kFormatVersion);
   writer.WriteI64(tensor.ndim());
   for (int64_t d = 0; d < tensor.ndim(); ++d) writer.WriteI64(tensor.dim(d));
-  const size_t bytes = static_cast<size_t>(tensor.numel()) * sizeof(float);
-  writer.WriteBytes(tensor.data(), bytes);
-  writer.WriteU32(
-      TensorRecordCrc(tensor, kernel::Crc32Update(0, tensor.data(), bytes)));
+  const uint32_t payload = writer.WriteBytesCrc(
+      tensor.data(), static_cast<size_t>(tensor.numel()) * sizeof(float));
+  writer.WriteU32(TensorRecordCrc(tensor, payload));
   if (!writer.ok()) return Status::Internal("stream write failed");
   return Status::Ok();
 }

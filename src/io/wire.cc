@@ -12,6 +12,13 @@ void Writer::WriteBytes(const void* p, size_t n) {
   if (os_) crc_.Update(p, n);
 }
 
+uint32_t Writer::WriteBytesCrc(const void* p, size_t n) {
+  WriteRaw(p, n);
+  const uint32_t span = kernel::Crc32Update(0, p, n);
+  if (os_) crc_.Combine(span, n);
+  return span;
+}
+
 void Writer::WriteRaw(const void* p, size_t n) {
   if (fault::ShouldFail(fault::kSerializeWrite)) {
     os_.setstate(std::ios::badbit);

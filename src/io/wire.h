@@ -45,6 +45,9 @@ class Writer {
 
   /// CRC-tracked writes.
   void WriteBytes(const void* p, size_t n);
+  /// WriteBytes that also returns the n bytes' own CRC state from zero
+  /// (kernel::Crc32Update(0, p, n)), from the same one pass over them.
+  uint32_t WriteBytesCrc(const void* p, size_t n);
   void WriteU8(uint8_t v) { WriteBytes(&v, sizeof(v)); }
   void WriteU32(uint32_t v) { WriteBytes(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { WriteBytes(&v, sizeof(v)); }

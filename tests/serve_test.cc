@@ -17,12 +17,14 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -582,6 +584,73 @@ TEST(RetrievalServiceValidationTest, RejectsUnnormalisedEmbeddings) {
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(service.status().message().find("L2 norm"), std::string::npos);
+}
+
+/// The audit's Status message for `items` as one ascending chain per row
+/// writes it: the first non-finite value in row order, else the first row
+/// off unit norm, else "" for a corpus that passes.
+std::string ScalarAuditMessage(const Tensor& items) {
+  const int64_t d = items.cols();
+  for (int64_t i = 0; i < items.rows(); ++i) {
+    double norm_sq = 0.0;
+    for (int64_t j = 0; j < d; ++j) {
+      const float v = items.At(i, j);
+      if (!std::isfinite(v)) {
+        return "item row " + std::to_string(i) +
+               " has a non-finite value at column " + std::to_string(j) +
+               " (corrupt embeddings?)";
+      }
+      norm_sq += static_cast<double>(v) * static_cast<double>(v);
+    }
+    const double norm = std::sqrt(norm_sq);
+    if (std::abs(norm - 1.0) > 1e-3) {
+      return "item row " + std::to_string(i) + " has L2 norm " +
+             std::to_string(norm) +
+             "; the service expects unit rows (within 1e-3)";
+    }
+  }
+  return "";
+}
+
+TEST(RetrievalServiceValidationTest, GroupedAuditReportsTheFirstFault) {
+  // 19 rows: two groups of eight summed side by side, then three alone.
+  const Tensor base = ClusteredUnitRows(1, 19, 11, 97);
+  const auto expect_scalar_verdict = [](const Tensor& items) {
+    const std::string want = ScalarAuditMessage(items);
+    auto service = serve::RetrievalService::Create(items, ExhaustiveConfig());
+    if (want.empty()) {
+      EXPECT_TRUE(service.ok()) << service.status().ToString();
+      return;
+    }
+    ASSERT_FALSE(service.ok()) << want;
+    EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.status().message(), want);
+  };
+  expect_scalar_verdict(base);
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (int64_t r = 0; r < base.rows(); ++r) {
+    for (int64_t c = 0; c < base.cols(); ++c) {
+      for (float bad : kBad) {
+        SCOPED_TRACE(::testing::Message()
+                     << "row " << r << " column " << c << " value " << bad);
+        Tensor items = base.Clone();
+        items.At(r, c) = bad;
+        expect_scalar_verdict(items);
+        // A second fault in the same group or the next: the first wins.
+        items.At((r + 5) % base.rows(), (c + 3) % base.cols()) = bad;
+        expect_scalar_verdict(items);
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "row " << r);
+    // Off unit norm by 1e-2, and inside the tolerance by a hair.
+    for (float factor : {1.01f, 0.99f, 1.0009f}) {
+      Tensor items = base.Clone();
+      for (int64_t c = 0; c < base.cols(); ++c) items.At(r, c) *= factor;
+      expect_scalar_verdict(items);
+    }
+  }
 }
 
 TEST(RetrievalServiceValidationTest, LoadRejectsTruncatedBundle) {
